@@ -7,8 +7,8 @@ array-native refactor.  They exist for two reasons:
 * the golden-parity suite (:mod:`tests.test_golden_parity`) asserts the
   refactored kernels reproduce these *exactly* (the refactor is an
   implementation change, not a numerical one);
-* ``benchmarks/run_pr2_bench.py`` times them as the "before" side of
-  ``BENCH_PR2.json``.
+* ``benchmarks/test_micro_solvers.py`` times them as the "before" side
+  of its solver micro-benchmarks.
 
 Do not "improve" this module — its value is that it does not change.
 """

@@ -341,8 +341,8 @@ class CampaignRunner:
         #: Specs executed inside lockstep fleets (subset of runs_executed).
         self.fleet_runs = 0
         #: Operating-point solves across all executed runs, and how many
-        #: of them repeated an already-seen operating point (satellite
-        #: counters surfaced from ``RunResult.stats``).
+        #: of them the operating-point memo served (counters surfaced
+        #: from ``RunResult.stats``).
         self.op_solves = 0
         self.op_memo_hits = 0
         #: Fleet lane-occupancy telemetry, accumulated across every
@@ -499,14 +499,20 @@ class CampaignRunner:
             results.update(self._execute_misses(misses))
             solves = self.op_solves - op_solves_before
             hits = self.op_memo_hits - op_hits_before
-            if solves:
+            if any(spec.memo == "op" for _, spec in misses):
                 logger.info(
                     "campaign: %d runs executed, %d operating-point solves, "
-                    "%d repeated operating points (%.1f%% memo hit rate)",
+                    "%d served from the memo (%.1f%% hit rate)",
                     len(misses),
                     solves,
                     hits,
-                    100.0 * hits / solves,
+                    100.0 * hits / solves if solves else 0.0,
+                )
+            elif solves:
+                logger.info(
+                    "campaign: %d runs executed, %d operating-point solves",
+                    len(misses),
+                    solves,
                 )
             slot_ticks = self.fleet_slot_ticks - slot_ticks_before
             if slot_ticks:

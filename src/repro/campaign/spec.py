@@ -25,7 +25,7 @@ ENGINES = ("mva", "eventsim")
 
 #: Numeric parity tiers (see README "Performance"): ``"exact"`` pins
 #: every reduction order for byte-identical results; ``"relaxed"``
-#: allows the compiled fixed-point kernels, gated at run-level ≤1e-8
+#: allows the compiled fixed-point kernel, gated at run-level ≤1e-8
 #: relative agreement with the exact tier.
 PARITY_TIERS = ("exact", "relaxed")
 

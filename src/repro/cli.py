@@ -99,7 +99,7 @@ def _add_campaign_arguments(parser: argparse.ArgumentParser) -> None:
         default=None,
         help="numeric parity tier override: 'exact' pins every "
         "reduction order (byte-identical results), 'relaxed' allows "
-        "the compiled MVA fixed-point kernels (run-level <=1e-8 "
+        "the compiled MVA fixed-point kernel (run-level <=1e-8 "
         "relative agreement; default: run each spec as written)",
     )
     parser.add_argument(

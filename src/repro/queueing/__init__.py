@@ -21,9 +21,9 @@ convergence masks (:class:`FleetSolver`), bit-identical per lane to
 the scalar solver.
 
 :mod:`repro.queueing.kernels` provides the relaxed parity tier's
-compiled fixed-point kernels (Numba / C via ctypes, with a numpy
-fallback), reached through :meth:`MVASolver.solve_relaxed` and
-:meth:`FleetSolver.solve_relaxed`.
+compiled fixed-point kernel (a C loop-nest loaded via ctypes, with the
+exact numpy path as the fallback), reached through
+:meth:`MVASolver.solve_relaxed` and :meth:`FleetSolver.solve_relaxed`.
 """
 
 from repro.queueing import kernels

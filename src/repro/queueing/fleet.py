@@ -50,6 +50,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError, ConvergenceError
 from repro.queueing.arrays import NetworkArrays
+from repro.queueing.kernels import cext
 from repro.queueing.mva import _RHO_CAP, _BG_RHO_CAP, MVASolution, MVASolver
 
 
@@ -345,27 +346,12 @@ class FleetSolver:
         an iteration reads nothing but ``x``, ``q``, the iteration
         counter and the damping state.
         """
-        f = self.fleet.gather()
-        r = f.n_lanes
-        if lanes is None:
-            lane_rows = np.arange(r)
-        else:
-            mask = np.asarray(lanes, dtype=bool)
-            if mask.shape != (r,):
-                raise ConfigurationError(f"lane mask must have shape ({r},)")
-            lane_rows = np.flatnonzero(mask)
+        lane_rows = self._start(initial_throughput, lanes)
         m = int(lane_rows.size)
-        solutions: List[Optional[MVASolution]] = [None] * r
+        solutions: List[Optional[MVASolution]] = [None] * self.n_lanes
         if m == 0:
             return solutions
-
-        # Compact the participating lanes' inputs into rows 0..m-1.
-        np.take(f.routing, lane_rows, axis=0, out=self._routing_c[:m])
-        np.take(f.bank_service, lane_rows, axis=0, out=self._bank_service_c[:m])
-        np.take(f.bus_transfer, lane_rows, axis=0, out=self._bus_transfer_c[:m])
-        np.take(f.bg_rates, lane_rows, axis=0, out=self._bg_rates_c[:m])
-        np.take(f.think_s, lane_rows, axis=0, out=self._think_c[:m])
-        np.take(f.population, lane_rows, axis=0, out=self._population_c[:m])
+        f = self.fleet
 
         # Per-solve invariants (mirror MVASolver._fixed_point).
         np.take(
@@ -385,23 +371,6 @@ class FleetSolver:
         scalar_bus = self._scalar_bus
         batched_mm = self._use_batched_matmul
         bank_ctrl = f.bank_ctrl
-
-        # State initialisation (identical to the scalar kernel's).
-        if initial_throughput is not None:
-            warm = np.asarray(initial_throughput, dtype=float)
-            np.take(warm, lane_rows, axis=0, out=self._x[:m])
-        else:
-            # Same closed form the scalar kernel uses (per-lane means
-            # reduce over the contiguous axis, like the scalar .mean()).
-            self._x[:m] = self._population_c[:m] / (
-                self._think_c[:m]
-                + self._bank_service_c[:m].mean(axis=1)[:, None]
-                + self._bus_transfer_c[:m].mean(axis=1)[:, None]
-            )
-        self._r_bank[:m] = self._bank_service_c[:m][:, None, :]
-        self._x2_flat[:m] = self._x[:m]
-        np.multiply(self._x2[:m], self._routing_c[:m], out=self._q[:m])
-        np.multiply(self._q[:m], self._r_bank[:m], out=self._q[:m])
 
         MUL, ADD, SUB, DIV = np.multiply, np.add, np.subtract, np.divide
         MINI, MAXI, ABS, RED = np.minimum, np.maximum, np.abs, np.add.reduce
@@ -603,34 +572,30 @@ class FleetSolver:
     # ------------------------------------------------------------------
     def solve_relaxed(
         self,
-        kernel=None,
         max_iterations: int = 2000,
         tolerance: float = 1e-10,
         damping: float = 0.5,
         initial_throughput: Optional[np.ndarray] = None,
         lanes: Optional[np.ndarray] = None,
     ) -> List[Optional[MVASolution]]:
-        """Relaxed-tier fleet solve through a fused batched kernel.
+        """Relaxed-tier fleet solve through the batched C loop-nest.
 
         The batched twin of
         :meth:`repro.queueing.mva.MVASolver.solve_relaxed`: the
         participating lanes' inputs are compacted into the stacked
-        ``(m, n, B)`` tensors and handed to the kernel's
-        ``solve_lanes`` entry point, which runs each lane to its own
-        convergence inside one compiled loop-nest — no lockstep, no
-        convergence masks, no per-iteration dispatch to amortise.
-        Per-lane trajectories match the single-lane kernel exactly.
+        ``(m, n, B)`` tensors and handed to
+        :func:`repro.queueing.kernels.cext.solve_lanes`, which runs each
+        lane to its own convergence inside one compiled loop-nest — no
+        lockstep, no convergence masks, no per-iteration dispatch to
+        amortise.  Per-lane trajectories match the single-lane kernel
+        exactly.
 
-        A non-compiled kernel (the numpy fallback) delegates to the
-        exact lockstep :meth:`solve` — bit-identical to the exact tier
-        and exactly as fast.  Raises
-        :class:`~repro.errors.ConvergenceError` if any participating
-        lane fails.
+        When the C library is unavailable this is the exact lockstep
+        :meth:`solve` — bit-identical to the exact tier and exactly as
+        fast.  Raises :class:`~repro.errors.ConvergenceError` if any
+        participating lane fails.
         """
-        from repro.queueing.kernels import get_kernel
-
-        resolved = get_kernel(kernel)
-        if not resolved.compiled:
+        if cext.load() is None:
             return self.solve(
                 max_iterations=max_iterations,
                 tolerance=tolerance,
@@ -638,54 +603,29 @@ class FleetSolver:
                 initial_throughput=initial_throughput,
                 lanes=lanes,
             )
-
-        f = self.fleet.gather()
-        r = f.n_lanes
-        if lanes is None:
-            lane_rows = np.arange(r)
-        else:
-            mask = np.asarray(lanes, dtype=bool)
-            if mask.shape != (r,):
-                raise ConfigurationError(f"lane mask must have shape ({r},)")
-            lane_rows = np.flatnonzero(mask)
+        lane_rows = self._start(initial_throughput, lanes)
         m = int(lane_rows.size)
-        solutions: List[Optional[MVASolution]] = [None] * r
+        solutions: List[Optional[MVASolution]] = [None] * self.n_lanes
         if m == 0:
             return solutions
 
-        np.take(f.routing, lane_rows, axis=0, out=self._routing_c[:m])
-        np.take(f.bank_service, lane_rows, axis=0, out=self._bank_service_c[:m])
-        np.take(f.bus_transfer, lane_rows, axis=0, out=self._bus_transfer_c[:m])
-        np.take(f.bg_rates, lane_rows, axis=0, out=self._bg_rates_c[:m])
-        np.take(f.think_s, lane_rows, axis=0, out=self._think_c[:m])
-        np.take(f.population, lane_rows, axis=0, out=self._population_c[:m])
-
-        # State initialisation (identical to the scalar kernel's).
-        if initial_throughput is not None:
-            warm = np.asarray(initial_throughput, dtype=float)
-            np.take(warm, lane_rows, axis=0, out=self._x[:m])
-        else:
-            self._x[:m] = self._population_c[:m] / (
-                self._think_c[:m]
-                + self._bank_service_c[:m].mean(axis=1)[:, None]
-                + self._bus_transfer_c[:m].mean(axis=1)[:, None]
-            )
-        self._r_bank[:m] = self._bank_service_c[:m][:, None, :]
-        self._x2_flat[:m] = self._x[:m]
-        np.multiply(self._x2[:m], self._routing_c[:m], out=self._q[:m])
-        np.multiply(self._q[:m], self._r_bank[:m], out=self._q[:m])
-
-        iters, rels, damps = resolved.solve_lanes(
+        iters = np.zeros(m, dtype=np.int64)
+        rels = np.zeros(m)
+        damps = np.zeros(m)
+        cext.solve_lanes(
             self._routing_c[:m],
             self._bank_service_c[:m],
             self._bus_transfer_c[:m],
-            f.bank_ctrl,
+            self.fleet.bank_ctrl,
             self._bg_rates_c[:m],
             self._population_c[:m],
             self._think_c[:m],
             self._x[:m],
             self._q[:m],
             self._r_bank[:m],
+            iters,
+            rels,
+            damps,
             1,
             max_iterations,
             tolerance,
@@ -696,10 +636,10 @@ class FleetSolver:
             stuck = lane_rows[failed].tolist()
             worst = int(failed[np.argmax(rels[failed])])
             raise ConvergenceError(
-                f"fleet AMVA ({resolved.name} kernel): lanes {stuck} did "
-                f"not converge in {max_iterations} iterations (worst "
-                f"relative change {float(rels[worst]):.3e}, damping "
-                f"decayed to {float(damps[worst]):.3g})",
+                f"fleet AMVA (C kernel): lanes {stuck} did not converge in "
+                f"{max_iterations} iterations (worst relative change "
+                f"{float(rels[worst]):.3e}, damping decayed to "
+                f"{float(damps[worst]):.3g})",
                 iterations=max_iterations,
                 last_rel_change=float(rels[worst]),
                 damping=float(damps[worst]),
@@ -710,3 +650,54 @@ class FleetSolver:
                 self._x[j], self._q[j], self._r_bank[j], int(iters[j])
             )
         return solutions
+
+    # ------------------------------------------------------------------
+    def _start(
+        self,
+        initial_throughput: Optional[np.ndarray],
+        lanes: Optional[np.ndarray],
+    ) -> np.ndarray:
+        """Compact the participating lanes and initialise their state.
+
+        Gathers the lanes' current arrays, copies the participating
+        lanes' inputs into rows ``0..m-1`` of the compacted tensors and
+        initialises ``_x`` / ``_q`` / ``_r_bank`` there exactly as the
+        scalar :meth:`MVASolver._start` does.  Returns the participating
+        lanes' indices (row ``j`` holds lane ``lane_rows[j]``).
+        """
+        f = self.fleet.gather()
+        r = f.n_lanes
+        if lanes is None:
+            lane_rows = np.arange(r)
+        else:
+            mask = np.asarray(lanes, dtype=bool)
+            if mask.shape != (r,):
+                raise ConfigurationError(f"lane mask must have shape ({r},)")
+            lane_rows = np.flatnonzero(mask)
+        m = int(lane_rows.size)
+        if m == 0:
+            return lane_rows
+
+        np.take(f.routing, lane_rows, axis=0, out=self._routing_c[:m])
+        np.take(f.bank_service, lane_rows, axis=0, out=self._bank_service_c[:m])
+        np.take(f.bus_transfer, lane_rows, axis=0, out=self._bus_transfer_c[:m])
+        np.take(f.bg_rates, lane_rows, axis=0, out=self._bg_rates_c[:m])
+        np.take(f.think_s, lane_rows, axis=0, out=self._think_c[:m])
+        np.take(f.population, lane_rows, axis=0, out=self._population_c[:m])
+
+        if initial_throughput is not None:
+            warm = np.asarray(initial_throughput, dtype=float)
+            np.take(warm, lane_rows, axis=0, out=self._x[:m])
+        else:
+            # Same closed form the scalar kernel uses (per-lane means
+            # reduce over the contiguous axis, like the scalar .mean()).
+            self._x[:m] = self._population_c[:m] / (
+                self._think_c[:m]
+                + self._bank_service_c[:m].mean(axis=1)[:, None]
+                + self._bus_transfer_c[:m].mean(axis=1)[:, None]
+            )
+        self._r_bank[:m] = self._bank_service_c[:m][:, None, :]
+        self._x2_flat[:m] = self._x[:m]
+        np.multiply(self._x2[:m], self._routing_c[:m], out=self._q[:m])
+        np.multiply(self._q[:m], self._r_bank[:m], out=self._q[:m])
+        return lane_rows

@@ -1,24 +1,40 @@
-"""C backend for the fused AMVA kernel, compiled at first use.
+"""The relaxed tier's AMVA fixed point as one C loop-nest.
 
-The embedded source is a line-for-line transcription of
-:mod:`repro.queueing.kernels.fused` (same formulas, same damping
-schedule, same stopping rule, sequential reductions) built as a shared
-library with whatever C compiler the host provides (``$CC``, else
-``cc``/``gcc``/``clang``) and loaded through :mod:`ctypes`.  No
-``-ffast-math``: the arithmetic stays strict IEEE so the relaxed-tier
-trajectory shadows the exact kernel within rounding noise.
+The embedded C source below is the statement of the fused iteration:
+one damped fixed-point step of
+:meth:`repro.queueing.mva.MVASolver._fixed_point` written as explicit
+loops, with no temporaries and no per-op dispatch.  The update
+formulas, the initial damping, the ``iteration % 300`` damping-decay
+schedule and the stopping rule are the exact kernel's, so a relaxed
+solve shadows the exact trajectory; only reduction orders differ
+(sequential accumulation here vs numpy's pairwise/BLAS orders), which
+keeps the divergence at rounding noise.  No ``-ffast-math``: the
+arithmetic stays strict IEEE.
 
-Build products are content-addressed by source hash under
+Contract: the caller initialises ``x`` (per-class throughput) and
+``q`` (per-class × per-bank queue estimate) exactly as
+:meth:`MVASolver.solve` does; the kernel advances them in place,
+writes the final per-class bank responses into ``r_bank`` and returns
+``(iterations, last_rel_change, damping)``.  ``iterations`` is the
+converged 1-based iteration index, or ``0`` when the budget ran out,
+in which case the caller raises
+:class:`~repro.errors.ConvergenceError` with the returned state.
+
+The library is built with the host's C compiler (``$CC``, else
+``cc``/``gcc``/``clang``) and loaded through :mod:`ctypes`.  Build
+products are content-addressed by source hash under
 ``$FASTCAP_KERNEL_CACHE`` (default ``~/.cache/fastcap-repro``), so a
-process pays the compile exactly once per source version and later
-processes just ``dlopen``.  Hosts without a compiler report
-unavailable (:func:`is_available`) and the registry falls back.
+process pays the compile once per source version and later processes
+just ``dlopen``.  When the build or the load fails, :func:`load`
+returns None, :func:`build_error` says why, and one warning per
+process on logger ``repro.queueing.kernels`` names the reason.
 """
 
 from __future__ import annotations
 
 import ctypes
 import hashlib
+import logging
 import os
 import shutil
 import subprocess
@@ -28,6 +44,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+logger = logging.getLogger("repro.queueing.kernels")
+
 _SOURCE = r"""
 #include <math.h>
 #include <stdint.h>
@@ -35,7 +53,7 @@ _SOURCE = r"""
 #define RHO_CAP 0.995
 #define BG_RHO_CAP 0.95
 
-/* One lane's damped AMVA fixed point; mirrors kernels/fused.py.
+/* One lane's damped AMVA fixed point.
  * Returns the converged 1-based iteration index, or 0 on failure.
  * scratch must hold 3*B + 3*M doubles. */
 int64_t fastcap_mva_solve_lane(
@@ -252,14 +270,21 @@ def load() -> Optional[ctypes.CDLL]:
     if _lib is not None or _build_attempted:
         return _lib
     _build_attempted = True
+    lib = None
     cc = _compiler()
     if cc is None:
         _build_error = "no C compiler found (set $CC or install cc/gcc/clang)"
-        return None
-    try:
-        lib = ctypes.CDLL(str(_build(cc, _cache_dir())))
-    except (OSError, subprocess.SubprocessError) as exc:
-        _build_error = f"kernel build failed: {exc}"
+    else:
+        try:
+            lib = ctypes.CDLL(str(_build(cc, _cache_dir())))
+        except (OSError, subprocess.SubprocessError) as exc:
+            _build_error = f"kernel build failed: {exc}"
+    if lib is None:
+        logger.warning(
+            "relaxed-tier C kernel unavailable, relaxed solves run the "
+            "exact numpy path: %s",
+            _build_error,
+        )
         return None
     p_f64 = ctypes.POINTER(ctypes.c_double)
     p_i64 = ctypes.POINTER(ctypes.c_int64)
@@ -285,10 +310,6 @@ def load() -> Optional[ctypes.CDLL]:
 def build_error() -> Optional[str]:
     """Why the library is unavailable (None when it loaded or untried)."""
     return _build_error
-
-
-def is_available() -> bool:
-    return load() is not None
 
 
 def _ptr_f64(a: np.ndarray):
@@ -319,7 +340,7 @@ def solve_lane(
     tolerance,
     damping,
 ) -> Tuple[int, float, float]:
-    """ctypes twin of :func:`repro.queueing.kernels.fused.solve_lane`."""
+    """Advance one lane's fixed point in place (see the module contract)."""
     lib = load()
     if lib is None:
         raise RuntimeError(f"cc kernel unavailable: {_build_error}")
@@ -372,7 +393,10 @@ def solve_lanes(
     tolerance,
     damping,
 ) -> None:
-    """ctypes twin of :func:`repro.queueing.kernels.fused.solve_lanes`."""
+    """Run R stacked lanes, each to its own convergence, in place.
+
+    Per-lane outcomes land in ``iters`` / ``rels`` / ``damps``.
+    """
     lib = load()
     if lib is None:
         raise RuntimeError(f"cc kernel unavailable: {_build_error}")

@@ -39,6 +39,7 @@ import numpy as np
 
 from repro.errors import ConvergenceError
 from repro.queueing.arrays import NetworkArrays
+from repro.queueing.kernels import cext
 from repro.queueing.network import QueueingNetwork
 
 #: Utilisation ceiling that keeps 1/(1-rho) finite while still letting
@@ -158,33 +159,7 @@ class MVASolver:
         Raises :class:`ConvergenceError` if it does not reach
         ``tolerance`` within ``max_iterations``.
         """
-        a = self.arrays
-        routing = a.routing
-        bank_service = a.bank_service
-        bus_transfer = a.bus_transfer
-        population = a.population
-        think = a.think_s
-
-        x = self._x
-        if initial_throughput is not None:
-            x[...] = np.asarray(initial_throughput, dtype=float)
-        else:
-            x[...] = population / (
-                think + bank_service.mean() + bus_transfer.mean()
-            )
-
-        # Initialise queue estimates consistently with the starting
-        # throughputs (Little's law with bare service times), so warm
-        # starts actually shorten convergence.
-        r_bank = self._r_bank
-        r_bank[...] = bank_service
-        q = self._q
-        x2 = self._x2
-        x2_flat = self._x2_flat
-        x2_flat[...] = x
-        np.multiply(x2, routing, out=q)
-        np.multiply(q, r_bank, out=q)
-
+        self._start(initial_throughput)
         iteration = self._fixed_point(
             first_iteration=1,
             current_damping=damping,
@@ -196,56 +171,36 @@ class MVASolver:
     # ------------------------------------------------------------------
     def solve_relaxed(
         self,
-        kernel=None,
         max_iterations: int = 2000,
         tolerance: float = 1e-10,
         damping: float = 0.5,
         initial_throughput: Optional[np.ndarray] = None,
     ) -> MVASolution:
-        """Relaxed-tier solve through a fused compiled kernel.
+        """Relaxed-tier solve through the compiled C loop-nest.
 
         Same fixed point as :meth:`solve` — same initialisation, same
         damping schedule, same stopping rule — but the per-iteration
-        op sequence runs as one compiled loop-nest
-        (:mod:`repro.queueing.kernels`) instead of ~30 pinned numpy
-        ops, so reduction orders (and therefore the final bits) may
-        differ within rounding noise.  Run-level agreement with the
+        op sequence runs as one loop-nest
+        (:mod:`repro.queueing.kernels.cext`) instead of ~30 pinned
+        numpy ops, so reduction orders (and therefore the final bits)
+        may differ within rounding noise.  Run-level agreement with the
         exact tier is gated at ≤1e-8 relative by the relaxed-parity
         fixture.
 
-        ``kernel`` is a backend name, a
-        :class:`~repro.queueing.kernels.FixedPointKernel`, or ``None``
-        for the process default.  A non-compiled kernel (the numpy
-        fallback) delegates to :meth:`solve` outright — bit-identical
-        to the exact tier and exactly as fast.
+        When the C library is unavailable this is :meth:`solve` —
+        bit-identical to the exact tier and exactly as fast.
         """
-        from repro.queueing.kernels import get_kernel
-
-        resolved = get_kernel(kernel)
-        if not resolved.compiled:
+        if cext.load() is None:
             return self.solve(
                 max_iterations=max_iterations,
                 tolerance=tolerance,
                 damping=damping,
                 initial_throughput=initial_throughput,
             )
-
+        self._start(initial_throughput)
         a = self.arrays
-        x = self._x
-        if initial_throughput is not None:
-            x[...] = np.asarray(initial_throughput, dtype=float)
-        else:
-            x[...] = a.population / (
-                a.think_s + a.bank_service.mean() + a.bus_transfer.mean()
-            )
-        r_bank = self._r_bank
-        r_bank[...] = a.bank_service
-        q = self._q
-        self._x2_flat[...] = x
-        np.multiply(self._x2, a.routing, out=q)
-        np.multiply(q, r_bank, out=q)
-
-        outcome = resolved.solve_lane(
+        x, q, r_bank = self._x, self._q, self._r_bank
+        iterations, last_rel_change, final_damping = cext.solve_lane(
             a.routing,
             a.bank_service,
             a.bus_transfer,
@@ -261,17 +216,39 @@ class MVASolver:
             tolerance,
             damping,
         )
-        if not outcome.converged:
+        if not iterations:
             raise ConvergenceError(
-                f"AMVA ({resolved.name} kernel) did not converge in "
-                f"{max_iterations} iterations (last relative change "
-                f"{outcome.last_rel_change:.3e}, damping decayed to "
-                f"{outcome.damping:.3g})",
+                f"AMVA (C kernel) did not converge in {max_iterations} "
+                f"iterations (last relative change {last_rel_change:.3e}, "
+                f"damping decayed to {final_damping:.3g})",
                 iterations=max_iterations,
-                last_rel_change=outcome.last_rel_change,
-                damping=outcome.damping,
+                last_rel_change=last_rel_change,
+                damping=final_damping,
             )
-        return self._snapshot(x, q, r_bank, outcome.iterations)
+        return self._snapshot(x, q, r_bank, iterations)
+
+    # ------------------------------------------------------------------
+    def _start(self, initial_throughput: Optional[np.ndarray]) -> None:
+        """Initialise the fixed point's state (``_x``, ``_q``, ``_r_bank``).
+
+        Throughputs start from the warm start or a closed form; queue
+        estimates follow from them consistently (Little's law with bare
+        service times), so warm starts actually shorten convergence.
+        """
+        a = self.arrays
+        x = self._x
+        if initial_throughput is not None:
+            x[...] = np.asarray(initial_throughput, dtype=float)
+        else:
+            x[...] = a.population / (
+                a.think_s + a.bank_service.mean() + a.bus_transfer.mean()
+            )
+        r_bank = self._r_bank
+        r_bank[...] = a.bank_service
+        q = self._q
+        self._x2_flat[...] = x
+        np.multiply(self._x2, a.routing, out=q)
+        np.multiply(q, r_bank, out=q)
 
     # ------------------------------------------------------------------
     def _fixed_point(

@@ -503,17 +503,15 @@ class ServerSimulator:
         self.engine = engine
         #: Numeric parity tier: ``"exact"`` serves every AMVA solve
         #: through the byte-reproducible numpy kernel; ``"relaxed"``
-        #: routes solves through the fused compiled kernel (run-level
+        #: routes solves through the compiled C loop-nest (run-level
         #: ≤1e-8 relative agreement, see repro.queueing.kernels).
         self.parity = parity
         if parity == "relaxed":
             from repro.queueing.kernels import warmup
 
-            # Resolve and compile up front (memoised per process), so
-            # JIT/compile cost never lands inside a measured epoch.
-            self._kernel = warmup()
-        else:
-            self._kernel = None
+            # Build up front (memoised per process), so compile cost
+            # never lands inside a measured epoch.
+            warmup()
         self._eventsim_window_s = eventsim_window_s
         self._run_seed = seed
         self._rng = np.random.default_rng(seed)
@@ -554,17 +552,14 @@ class ServerSimulator:
         #: measurement windows deterministically (independent of how
         #: many draws other consumers took from ``self._rng``).
         self._op_index = 0
-        # Operating-point memoization.  memo="off" (the default) keeps
-        # the PR-8 hit-rate *measurement*: counts how often a solve
-        # repeats a previously seen (settings, phase, ips-bucket) key
-        # without ever serving from it.  memo="op" promotes the
-        # counters to a real bounded cache: past the warm-up window,
-        # solves whose key matches and whose IPS feedback is within
-        # _MEMO_IPS_TOLERANCE are served from the memo.
+        # Operating-point memoization.  Every operating point counts
+        # as a solve; with memo="op", past the warm-up window, solves
+        # whose key matches and whose IPS feedback is within
+        # _MEMO_IPS_TOLERANCE are served from a bounded cache and
+        # count as hits.
         self.memo = memo
         self._op_solves = 0
         self._op_memo_hits = 0
-        self._op_seen: Dict[Tuple, None] = {}
         # ``op_memo`` lets a campaign runner share one memo across
         # simulators (and across repeated runs): the token namespaces
         # this simulator's keys by everything the fixed point depends
@@ -813,9 +808,8 @@ class ServerSimulator:
     # ------------------------------------------------------------------
     def _serve_solve(self, request: "SolveRequest") -> MVASolution:
         """Serve one solve request on this simulator's parity tier."""
-        if self._kernel is not None:
+        if self.parity == "relaxed":
             return self._solver.solve_relaxed(
-                self._kernel,
                 initial_throughput=request.warm_start,
                 tolerance=request.tolerance,
             )
@@ -823,41 +817,6 @@ class ServerSimulator:
             initial_throughput=request.warm_start,
             tolerance=request.tolerance,
         )
-
-    def _count_operating_point(
-        self,
-        settings: "FrequencySettings",
-        mpki: np.ndarray,
-        wpki: np.ndarray,
-        cpi_exe: np.ndarray,
-        row_hit: np.ndarray,
-    ) -> None:
-        """Record one solve against the memoization hit-rate counter.
-
-        The key quantizes the IPS-estimate feedback state to ~2%
-        relative (log-scale buckets): two solves whose keys collide
-        would produce operating points well within the 1% counter
-        noise, which is the precision a future memo cache would need.
-        """
-        ips_bucket = np.round(
-            np.log10(np.abs(self._ips_estimate) + 1e-300) * 100.0
-        )
-        key = (
-            settings.core_frequencies_hz,
-            settings.bus_frequency_hz,
-            mpki.tobytes(),
-            wpki.tobytes(),
-            cpi_exe.tobytes(),
-            row_hit.tobytes(),
-            ips_bucket.tobytes(),
-        )
-        self._op_solves += 1
-        if key in self._op_seen:
-            self._op_memo_hits += 1
-        else:
-            if len(self._op_seen) >= 4096:
-                self._op_seen.pop(next(iter(self._op_seen)))
-            self._op_seen[key] = None
 
     def _memo_live(self) -> bool:
         """Whether the operating-point memo may serve right now.
@@ -877,7 +836,7 @@ class ServerSimulator:
 
     @property
     def operating_point_stats(self) -> Dict[str, float]:
-        """Memoization-counter telemetry (ROADMAP item 4a measurement)."""
+        """Operating-point solves and memo hits served, simulator lifetime."""
         solves = self._op_solves
         return {
             "op_solves": float(solves),
@@ -933,16 +892,14 @@ class ServerSimulator:
         memo = self._op_memo if self._memo_live() else None
         memo_key: Optional[Tuple] = None
         memo_ips: Optional[np.ndarray] = None
-        if memo is None:
-            self._count_operating_point(settings, mpki, wpki, cpi_exe, row_hit)
-        else:
-            # Real memoization: the key is exact in everything the
-            # fixed point depends on except the IPS feedback, which is
-            # matched within _MEMO_IPS_TOLERANCE against stored
-            # vectors.  Serving consumes no RNG draws (counter noise is
-            # synthesized by the caller), so noise streams stay aligned
-            # with the unmemoized run.
-            self._op_solves += 1
+        self._op_solves += 1
+        if memo is not None:
+            # The key is exact in everything the fixed point depends on
+            # except the IPS feedback, which is matched within
+            # _MEMO_IPS_TOLERANCE against stored vectors.  Serving
+            # consumes no RNG draws (counter noise is synthesized by the
+            # caller), so noise streams stay aligned with the unmemoized
+            # run.
             memo_key = (
                 self._memo_token,
                 settings.core_frequencies_hz,
@@ -1518,8 +1475,7 @@ class ServerSimulator:
             "op_memo_hit_rate": hits / solves if solves else 0.0,
         }
         if self._op_memo is not None:
-            # Distinguishes real served hits from the memo-off hit-rate
-            # *measurement* (where nothing is ever served).
+            # Tells a memo run that served nothing from a memo-off run.
             result.stats["op_memo_enabled"] = 1.0
         return result
 
@@ -1744,17 +1700,13 @@ class FleetSimulator:
             key = (req.tolerance, self.lanes[i].simulator.parity)
             groups.setdefault(key, []).append(i)
         for (tolerance, parity), lane_ids in groups.items():
-            # A relaxed group without a compiled backend runs the exact
-            # path (same contract, see MVASolver.solve_relaxed).
-            kernel = self.lanes[lane_ids[0]].simulator._kernel
-            relaxed = parity == "relaxed" and kernel is not None
+            relaxed = parity == "relaxed"
             if len(lane_ids) == 1:
                 i = lane_ids[0]
                 req = solves[i]
                 solver = self.lanes[i].simulator._solver
                 if relaxed:
                     responses[i] = solver.solve_relaxed(
-                        kernel,
                         initial_throughput=req.warm_start,
                         tolerance=tolerance,
                     )
@@ -1770,7 +1722,6 @@ class FleetSimulator:
                 self._warm[i] = solves[i].warm_start
             if relaxed:
                 solutions = self._fleet_solver.solve_relaxed(
-                    kernel,
                     tolerance=tolerance,
                     initial_throughput=self._warm,
                     lanes=mask,

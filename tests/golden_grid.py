@@ -5,9 +5,10 @@ The refactor of the simulation/decision kernels onto
 *numerically identical* to the seed implementation.  This module pins
 down the grid of runs over which that is enforced and the content hash
 used to compare them.  ``tests/data/golden_parity_pr2.json`` was
-generated by ``benchmarks/capture_pr2_baseline.py`` on the pre-refactor
-tree; :mod:`tests.test_golden_parity` re-runs the grid on the current
-tree and asserts every hash still matches.
+captured on the pre-refactor tree and committed in ``36aef82``, by a
+capture script that has since been retired; :mod:`tests.test_golden_parity`
+re-runs the grid on the current tree and asserts every hash still
+matches.
 
 All specs set ``record_decision_time=False`` — decision wall time is
 the one non-deterministic field — and use the ``mva`` engine (the

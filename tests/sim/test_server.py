@@ -149,20 +149,6 @@ class TestRunLoop:
 
 
 class TestOperatingPointMemoCounter:
-    def test_repeated_solve_counts_a_hit(self, sim16, config16):
-        # The key includes a quantized IPS estimate, which settles over
-        # the first few solves; repeating the same settings must then
-        # start registering hits.
-        settings = FrequencySettings.all_max(config16)
-        for _ in range(6):
-            sim16.solve_operating_point(settings, np.zeros(16))
-            if sim16.operating_point_stats["op_memo_hits"] >= 1:
-                break
-        stats = sim16.operating_point_stats
-        assert stats["op_memo_hits"] >= 1
-        assert stats["op_solves"] > stats["op_memo_hits"]
-        assert 0.0 < stats["op_memo_hit_rate"] <= 1.0
-
     def test_distinct_settings_do_not_hit(self, sim16, config16):
         sim16.solve_operating_point(
             FrequencySettings.all_max(config16), np.zeros(16)
@@ -171,7 +157,7 @@ class TestOperatingPointMemoCounter:
             FrequencySettings.all_min(config16), np.zeros(16)
         )
         stats = sim16.operating_point_stats
-        assert stats["op_solves"] >= 2
+        assert stats["op_solves"] == 2
         assert stats["op_memo_hits"] == 0
 
     def test_run_result_surfaces_stats(self, config16):

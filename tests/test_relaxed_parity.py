@@ -5,19 +5,19 @@ The exact tier is protected byte-for-byte by
 contract: a ``parity="relaxed"`` run must agree with its exact twin at
 run level — power and throughput trajectories within 1e-8 relative,
 and *identical* per-epoch frequency decisions — across the same golden
-grid, whichever kernel backend the process resolves.
+grid, whichever backend the process resolves.
 
-When no compiled backend is available (no C compiler, no numba) the
-relaxed tier delegates to the exact path, so the gate degenerates to a
-bit-identity check — still a meaningful property: the fallback must be
-indistinguishable from the exact tier.
+When the C kernel cannot be built the relaxed tier delegates to the
+exact path, so the gate degenerates to a bit-identity check — still a
+meaningful property: the fallback must be indistinguishable from the
+exact tier.
 """
 
 import numpy as np
 import pytest
 
 from repro.campaign import Campaign, CampaignRunner
-from repro.queueing.kernels import available_kernels, default_kernel_name
+from repro.queueing.kernels import cext, warmup
 
 from tests.golden_grid import golden_specs
 
@@ -60,9 +60,9 @@ def _assert_run_parity(exact, relaxed, label: str) -> None:
 
 class TestRelaxedGrid:
     def test_process_resolves_a_kernel(self):
-        names = available_kernels()
-        assert "numpy" in names
-        assert default_kernel_name() in names
+        kernel = warmup()
+        assert kernel.name in ("cc", "numpy")
+        assert kernel.compiled == (cext.load() is not None)
 
     def test_golden_grid_run_level_agreement(self):
         """Every golden-grid spec, exact vs relaxed, scalar execution."""
