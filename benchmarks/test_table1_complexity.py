@@ -9,17 +9,19 @@ def test_table1_decision_costs(benchmark, quick_runner):
     out = run_once(
         benchmark, lambda: run_experiment("table1", runner=quick_runner)
     )
-    rows = {(r[0], r[2]): r[3] for r in out.tables["decision-cost"].rows}
+    table = out.tables["decision-cost"].rows
+    rows = {(r[0], r[2]): r[3] for r in table}
+    work = {(r[0], r[2]): r[4] for r in table}
 
     # FastCap stays cheap and near-linear in N: 64 cores must cost far
     # less than 16x the 16-core cost (it is ~4x work).
     assert rows[("fastcap", 64)] < 16 * rows[("fastcap", 16)]
     # The exhaustive search is far more expensive than FastCap already
-    # on a 4-core system (Table I's headline contrast).  Interpreter
-    # constant costs flatter FastCap's small-N numbers, so the honest
-    # Python-level bound is a 3x gap that widens superlinearly with N
-    # (at 8 cores MaxBIPS would enumerate 10^8 combinations).
-    assert rows[("maxbips", 4)] > 3 * rows[("fastcap", 4)]
+    # on a 4-core system (Table I's headline contrast): at least a 3x
+    # gap that widens superlinearly with N (at 8 cores MaxBIPS would
+    # enumerate 10^8 combinations).  Counted as work per decide, not
+    # wall time, so host load cannot flip it.
+    assert work[("maxbips", 4)] > 3 * work[("fastcap", 4)]
     # All decision costs are a small fraction of a 5 ms epoch except
     # the exhaustive baseline.
     assert rows[("fastcap", 64)] < 5000.0  # µs

@@ -44,6 +44,7 @@ from repro.campaign.campaign import Campaign, CampaignResult
 from repro.campaign.spec import MEMO_MODES, PARITY_TIERS, RunSpec
 from repro.errors import ConfigurationError
 from repro.policies.registry import format_policy_name, make_policy, parse_policy_name
+from repro.queueing.kernels import warmup
 from repro.sim.config import SystemConfig, table2_config
 from repro.sim.server import OpMemo, RunResult, ServerSimulator
 from repro.units import MS
@@ -88,6 +89,23 @@ def resolved_policy_name(spec: RunSpec) -> str:
     return format_policy_name(base, params)
 
 
+def simulator_for_spec(
+    spec: RunSpec, op_memo: Optional[OpMemo] = None
+) -> ServerSimulator:
+    """The simulator that runs ``spec`` (see :func:`execute_spec`)."""
+    from repro.workloads import get_workload  # local: keeps import cheap
+
+    return ServerSimulator(
+        config_for_spec(spec),
+        get_workload(spec.workload),
+        seed=spec.seed,
+        engine=spec.engine,
+        parity=spec.parity,
+        memo=spec.memo,
+        op_memo=op_memo,
+    )
+
+
 def execute_spec(
     spec: RunSpec, op_memo: Optional[OpMemo] = None
 ) -> RunResult:
@@ -98,18 +116,7 @@ def execute_spec(
     simulator namespaces its keys by a config/routing token, so one
     store can safely serve heterogeneous specs and repeated runs.
     """
-    from repro.workloads import get_workload  # local: keeps import cheap
-
-    config = config_for_spec(spec)
-    sim = ServerSimulator(
-        config,
-        get_workload(spec.workload),
-        seed=spec.seed,
-        engine=spec.engine,
-        parity=spec.parity,
-        memo=spec.memo,
-        op_memo=op_memo,
-    )
+    sim = simulator_for_spec(spec, op_memo=op_memo)
     policy = make_policy(resolved_policy_name(spec))
     return sim.run(
         policy,
@@ -150,19 +157,9 @@ def _build_lane(
     spec: RunSpec, op_memo: Optional[OpMemo] = None
 ) -> "FleetLane":
     from repro.sim.server import FleetLane
-    from repro.workloads import get_workload  # local: keeps import cheap
 
-    sim = ServerSimulator(
-        config_for_spec(spec),
-        get_workload(spec.workload),
-        seed=spec.seed,
-        engine=spec.engine,
-        parity=spec.parity,
-        memo=spec.memo,
-        op_memo=op_memo,
-    )
     return FleetLane(
-        simulator=sim,
+        simulator=simulator_for_spec(spec, op_memo=op_memo),
         policy=make_policy(resolved_policy_name(spec)),
         budget_fraction=spec.budget_fraction,
         instruction_quota=spec.instruction_quota,
@@ -591,13 +588,10 @@ class CampaignRunner:
         self, misses: List[Tuple[int, RunSpec]]
     ) -> Dict[int, RunResult]:
         """Simulate cache misses, in-process or across a worker pool."""
-        if any(spec.parity == "relaxed" for _, spec in misses):
-            # Compile/load the fixed-point kernel once, up front, so the
-            # first relaxed run doesn't pay the warm-up inside its
-            # measured wall time (workers warm up their own copies).
-            from repro.queueing.kernels import warmup
-
-            warmup()
+        # Compile/load the C library once, up front, so the first run
+        # (exact or relaxed) doesn't pay the warm-up inside its measured
+        # wall time (workers warm up their own copies).
+        warmup()
         if self.batch == "fleet":
             units = self._fleet_units(misses)
         else:

@@ -20,9 +20,10 @@ MVA path: R same-shape networks stack into ``(R, n, B)`` tensors
 convergence masks (:class:`FleetSolver`), bit-identical per lane to
 the scalar solver.
 
-:mod:`repro.queueing.kernels` provides the relaxed parity tier's
-compiled fixed-point kernel (a C loop-nest loaded via ctypes, with the
-exact numpy path as the fallback), reached through
+:mod:`repro.queueing.kernels` provides the compiled fixed-point code
+of both parity tiers (one C library loaded via ctypes, with the numpy
+loop as the fallback): the exact tier's byte-identical step behind
+:meth:`MVASolver.solve`, and the relaxed tier's loop-nest behind
 :meth:`MVASolver.solve_relaxed` and :meth:`FleetSolver.solve_relaxed`.
 """
 

@@ -1,15 +1,19 @@
-"""The relaxed parity tier's compiled AMVA fixed-point kernel.
+"""The compiled AMVA fixed-point code of both parity tiers.
 
-The exact parity tier pins every reduction order for byte-identical
-results, which forbids fusing the fixed point's ~30 numpy ops per
-iteration.  The relaxed tier (``parity="relaxed"``, run-level ≤1e-8
-relative agreement) lifts that constraint: :mod:`repro.queueing.kernels.cext`
-runs the whole iteration as one C loop-nest, single-lane and batched
-``(R, n, B)``, built with the host's C compiler at first use.
+:mod:`repro.queueing.kernels.cext` is one C library, built with the
+host's C compiler at first use, that serves both tiers:
 
-When the library cannot be built or loaded, relaxed solves run the
-exact numpy path instead — bit-identical to the exact tier and exactly
-as fast — and the process logs one warning naming the reason.
+* the **exact** tier (the default) keeps numpy's gemv ``x @ routing``
+  and runs the rest of each fixed-point iteration as one call of the
+  exact step, which reproduces numpy's op order and reduction orders
+  bit for bit (the golden fixture is unchanged);
+* the **relaxed** tier (``parity="relaxed"``, run-level ≤1e-8
+  relative agreement) runs the whole fixed point as one C loop-nest,
+  single-lane and batched ``(R, n, B)``, with its own reduction order.
+
+When the library cannot be built or loaded, exact solves run the numpy
+loop and relaxed solves run the exact tier instead — both bit-identical
+to the exact tier — and the process logs one warning naming the reason.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from repro.queueing.kernels import cext
 
 
 class Backend(NamedTuple):
-    """Which engine serves this process's relaxed-tier solves."""
+    """Which engine serves this process's AMVA solves, both tiers."""
 
     name: str
     compiled: bool
@@ -31,10 +35,14 @@ _NUMPY = Backend("numpy", False)
 
 
 def warmup() -> Backend:
-    """Build or load the C kernel now and report which backend runs.
+    """Build or load the C library now and report which backend runs.
 
-    The build is memoised per process, so campaign runners call this
-    up front and no compile lands inside a measured epoch.
+    ``("cc", True)``: exact solves run the compiled step and relaxed
+    solves the C loop-nest.  ``("numpy", False)``: both tiers run the
+    numpy loop.  The build is memoised per process; every
+    :class:`~repro.queueing.mva.MVASolver` loads the library when it
+    is built, and campaign runners call this up front, so no compile
+    lands inside a measured epoch.
     """
     return _CC if cext.load() is not None else _NUMPY
 

@@ -1,15 +1,16 @@
-"""The relaxed tier's AMVA fixed point as one C loop-nest.
+"""One C library for both parity tiers' AMVA fixed point.
 
-The embedded C source below is the statement of the fused iteration:
-one damped fixed-point step of
-:meth:`repro.queueing.mva.MVASolver._fixed_point` written as explicit
-loops, with no temporaries and no per-op dispatch.  The update
+The embedded C source below holds two things.
+
+**The relaxed tier's loop-nest** (``fastcap_mva_solve_lane`` and its
+batched twin ``fastcap_mva_solve_lanes``): one damped fixed-point step
+of :meth:`repro.queueing.mva.MVASolver._fixed_point` written as
+explicit loops, with no temporaries and no per-op dispatch.  The update
 formulas, the initial damping, the ``iteration % 300`` damping-decay
 schedule and the stopping rule are the exact kernel's, so a relaxed
 solve shadows the exact trajectory; only reduction orders differ
 (sequential accumulation here vs numpy's pairwise/BLAS orders), which
-keeps the divergence at rounding noise.  No ``-ffast-math``: the
-arithmetic stays strict IEEE.
+keeps the divergence at rounding noise.
 
 Contract: the caller initialises ``x`` (per-class throughput) and
 ``q`` (per-class × per-bank queue estimate) exactly as
@@ -20,14 +21,51 @@ converged 1-based iteration index, or ``0`` when the budget ran out,
 in which case the caller raises
 :class:`~repro.errors.ConvergenceError` with the returned state.
 
+**The exact tier's step** (``fastcap_mva_exact_step``): everything one
+iteration of :meth:`MVASolver._numpy_fixed_point` does after
+``np.matmul(x, routing, out=fg)``, in numpy's op order, so that the
+state after each iteration is the numpy loop's to the bit.  The gemv
+stays in numpy because OpenBLAS's accumulation order depends on its
+kernel.  :meth:`MVASolver._compiled_fixed_point` keeps the iteration
+loop, the damping schedule and the stopping test in Python; each call
+advances ``x`` and ``q`` in place, writes the bank responses into
+``r_bank[slot]`` (the numpy loop's double buffer, alternating) and
+returns the largest relative throughput change.  Its arguments are
+one :class:`ExactStepArgs` block per solver, bound once by
+:func:`bind_exact_step`.  The rules it follows, each checked against
+numpy 2.4:
+
+* elementwise ops: the same IEEE op in the same order and grouping,
+  e.g. ``x_new*d + x*(1-d)`` and ``((x*routing)*r_new)*d``; the
+  ``np.minimum``/``np.maximum`` clamps are comparisons that propagate
+  NaN like numpy; in the one-controller branch Python's ``min(a, b)``
+  is ``b < a ? b : a``;
+* ``np.bincount(bank_ctrl, weights=rates)``: sequential from 0.0, in
+  bank order;
+* ``np.add.reduce(q, axis=0)``: sequential over classes from 0.0 —
+  except with one bank, where numpy squeezes the unit axis and the
+  reduction becomes contiguous and pairwise;
+* ``np.add.reduce(routing*r_new, axis=1)``: ``0.0 + pairwise(row)``
+  with numpy's ``pairwise_sum`` (sequential below 8 elements; 8
+  strided accumulators combined as
+  ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))`` then the tail, up to 128;
+  above that, split at n/2 rounded down to a multiple of 8);
+* ``np.maximum.reduce(dx)``: any order (max is exact), NaN-propagating.
+
+Both are built strict IEEE: ``-ffp-contract=off`` keeps multiply-adds
+from fusing into FMAs, and no ``-ffast-math``/``-Ofast`` (see
+``_FLAGS``).
+
 The library is built with the host's C compiler (``$CC``, else
 ``cc``/``gcc``/``clang``) and loaded through :mod:`ctypes`.  Build
-products are content-addressed by source hash under
-``$FASTCAP_KERNEL_CACHE`` (default ``~/.cache/fastcap-repro``), so a
-process pays the compile once per source version and later processes
-just ``dlopen``.  When the build or the load fails, :func:`load`
-returns None, :func:`build_error` says why, and one warning per
-process on logger ``repro.queueing.kernels`` names the reason.
+products are content-addressed by the compile command and the source
+under ``$FASTCAP_KERNEL_CACHE`` (default ``~/.cache/fastcap-repro``),
+so a process pays the compile once per source and flag version and
+later processes just ``dlopen``.  When the build or the load fails,
+:func:`load` returns None, :func:`build_error` says why, and one
+warning per process on logger ``repro.queueing.kernels`` names the
+reason: relaxed solves then run the exact tier and exact solves the
+numpy loop.
 """
 
 from __future__ import annotations
@@ -40,7 +78,7 @@ import shutil
 import subprocess
 import tempfile
 from pathlib import Path
-from typing import Optional, Tuple
+from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -213,7 +251,168 @@ void fastcap_mva_solve_lanes(
         damps[r] = damp;
     }
 }
+
+/* ------------------------------------------------------------------
+ * The exact tier's step: everything in one iteration of
+ * MVASolver._numpy_fixed_point after numpy's gemv fg = x @ routing, in
+ * numpy's op order (the module docstring lists the rules each loop
+ * below follows).
+ * ------------------------------------------------------------------ */
+
+/* numpy's pairwise_sum over n contiguous doubles (PW_BLOCKSIZE 128). */
+static double pairwise_sum(const double *a, int64_t n)
+{
+    if (n < 8) {
+        double res = 0.0;
+        for (int64_t i = 0; i < n; i++) res += a[i];
+        return res;
+    }
+    if (n <= 128) {
+        double r[8];
+        int64_t i;
+        for (int j = 0; j < 8; j++) r[j] = a[j];
+        for (i = 8; i < n - (n % 8); i += 8)
+            for (int j = 0; j < 8; j++) r[j] += a[i + j];
+        double res = ((r[0] + r[1]) + (r[2] + r[3]))
+                   + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; i++) res += a[i];
+        return res;
+    }
+    int64_t n2 = n / 2;
+    n2 -= n2 % 8;
+    return pairwise_sum(a, n2) + pairwise_sum(a + n2, n - n2);
+}
+
+/* np.minimum / np.maximum on two doubles (NaN-propagating). */
+static inline double np_min(double a, double b)
+{
+    return (a <= b || a != a) ? a : b;
+}
+
+static inline double np_max(double a, double b)
+{
+    return (a >= b || a != a) ? a : b;
+}
+
+/* One solver's buffers, bound once (NetworkArrays.update and the
+ * solver write every one of them in place).  ExactStepArgs in the
+ * Python module mirrors this layout. */
+typedef struct {
+    const double *routing;       /* n * B */
+    const double *bank_service;  /* B */
+    const double *bus_transfer;  /* M */
+    const double *bg_rates;      /* B */
+    const double *population;    /* n */
+    const double *think;         /* n */
+    const double *fg;            /* B: x @ routing, from numpy */
+    double *x;                   /* n, in/out */
+    double *q;                   /* n * B, in/out */
+    double *rates;               /* B scratch */
+    double *bus_wait;            /* M scratch */
+    double *s_fg;                /* B scratch */
+    double *bank_q;              /* B scratch */
+    double *r_prod;              /* n * B scratch */
+    double *r_bank[2];           /* n * B each: the double buffer */
+    const int64_t *bank_ctrl;    /* B */
+    int64_t n, n_banks, n_ctrl;
+    int64_t unit_pop;            /* all populations 1.0 (per solver) */
+    int64_t has_bg;              /* any(bg_rates > 0) (per solve) */
+    double pop_wait;             /* max(sum(population) - 1, 0) (per solve) */
+} fastcap_exact_args;
+
+/* Advances x and q in place, writes the bank responses into
+ * r_bank[slot] and returns the largest relative throughput change. */
+double fastcap_mva_exact_step(
+    const fastcap_exact_args *s, int64_t slot,
+    double damping, double retained)
+{
+    const int64_t n = s->n, nb = s->n_banks, nc = s->n_ctrl;
+    const double *routing = s->routing, *bt = s->bus_transfer;
+    const int64_t *bank_ctrl = s->bank_ctrl;
+    double *rates = s->rates, *s_fg = s->s_fg, *bank_q = s->bank_q;
+    double *bus_wait = s->bus_wait, *x = s->x, *q = s->q;
+    double *r_new = s->r_bank[slot];
+
+    for (int64_t b = 0; b < nb; b++) rates[b] = s->fg[b] + s->bg_rates[b];
+
+    if (nc == 1) {
+        /* Python floats: min(a, b) is (b < a ? b : a). */
+        double ctrl0 = 0.0;
+        for (int64_t b = 0; b < nb; b++) ctrl0 += rates[b];
+        const double bt0 = bt[0];
+        double rho0 = ctrl0 * bt0;
+        rho0 = RHO_CAP < rho0 ? RHO_CAP : rho0;
+        double wait0 = bt0 * rho0 / (2.0 * (1.0 - rho0));
+        const double cap0 = s->pop_wait * bt0;
+        wait0 = cap0 < wait0 ? cap0 : wait0;
+        for (int64_t b = 0; b < nb; b++)
+            s_fg[b] = (s->bank_service[b] + wait0) + bt0;
+    } else {
+        /* np.bincount: sequential from 0.0 in bank order. */
+        for (int64_t k = 0; k < nc; k++) bus_wait[k] = 0.0;
+        for (int64_t b = 0; b < nb; b++) bus_wait[bank_ctrl[b]] += rates[b];
+        for (int64_t k = 0; k < nc; k++) {
+            const double rho = np_min(bus_wait[k] * bt[k], RHO_CAP);
+            const double wait = (bt[k] * rho) / (2.0 * (1.0 - rho));
+            bus_wait[k] = np_min(wait, s->pop_wait * bt[k]);
+        }
+        for (int64_t b = 0; b < nb; b++) {
+            const int64_t k = bank_ctrl[b];
+            s_fg[b] = (s->bank_service[b] + bus_wait[k]) + bt[k];
+        }
+    }
+    if (s->has_bg) {
+        for (int64_t b = 0; b < nb; b++) {
+            const double rho_bg = np_min(s->bg_rates[b] * s_fg[b], BG_RHO_CAP);
+            s_fg[b] = s_fg[b] / (1.0 - rho_bg);
+        }
+    }
+
+    /* np.add.reduce(q, axis=0): sequential over classes from 0.0,
+     * except that numpy squeezes a unit bank axis and sums the
+     * (then contiguous) column pairwise. */
+    if (nb == 1) {
+        bank_q[0] = 0.0 + pairwise_sum(q, n);
+    } else {
+        for (int64_t b = 0; b < nb; b++) bank_q[b] = 0.0;
+        for (int64_t i = 0; i < n; i++)
+            for (int64_t b = 0; b < nb; b++) bank_q[b] += q[i * nb + b];
+    }
+
+    double last_rel = 0.0;
+    for (int64_t i = 0; i < n; i++) {
+        const double *row = routing + i * nb;
+        const double pop = s->population[i];
+        double *qi = q + i * nb, *ri = r_new + i * nb;
+        double *pi = s->r_prod + i * nb;
+        for (int64_t b = 0; b < nb; b++) {
+            double seen = s->unit_pop ? bank_q[b] - qi[b]
+                                      : bank_q[b] - qi[b] / pop;
+            seen = np_max(seen, 0.0);
+            ri[b] = s_fg[b] * (1.0 + seen);
+            pi[b] = row[b] * ri[b];
+        }
+        /* np.add.reduce(r_prod, axis=1): 0.0 + pairwise(row). */
+        const double r_mem = 0.0 + pairwise_sum(pi, nb);
+        const double x_new = pop / (s->think[i] + r_mem);
+        const double x_damped = x_new * damping + x[i] * retained;
+        for (int64_t b = 0; b < nb; b++)
+            qi[b] = qi[b] * retained + ((x_damped * row[b]) * ri[b]) * damping;
+        const double rel = fabs(x_damped - x[i]) / np_max(fabs(x[i]), 1e-300);
+        last_rel = i == 0 ? rel : np_max(last_rel, rel);
+        x[i] = x_damped;
+    }
+    return last_rel;
+}
 """
+
+#: Strict IEEE: -ffp-contract=off keeps a*b + c from fusing into an FMA
+#: (clang contracts by default on arm64), which the exact step's
+#: bit-identity needs.  Never -ffast-math or -Ofast: besides reordering
+#: arithmetic they link crtfastmath, which flushes denormals to zero
+#: for the whole process.
+_FLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
+_LIBS = ("-lm",)
 
 _lib: Optional[ctypes.CDLL] = None
 _build_attempted = False
@@ -240,8 +439,14 @@ def _compiler() -> Optional[str]:
 
 
 def _build(cc: str, cache: Path) -> Path:
-    """Compile the shared library (content-addressed; atomic install)."""
-    digest = hashlib.sha256(_SOURCE.encode()).hexdigest()[:16]
+    """Compile the shared library (content-addressed; atomic install).
+
+    The name hashes the whole compile command with the source, so a
+    changed flag builds a new library instead of reusing the old one.
+    """
+    command = [cc, *_FLAGS]
+    key = "\0".join([*command, *_LIBS, _SOURCE])
+    digest = hashlib.sha256(key.encode()).hexdigest()[:16]
     target = cache / f"fastcap_mva_{digest}.so"
     if target.exists():
         return target
@@ -252,7 +457,7 @@ def _build(cc: str, cache: Path) -> Path:
     os.close(fd)
     try:
         subprocess.run(
-            [cc, "-O3", "-shared", "-fPIC", "-o", tmp_out, str(src), "-lm"],
+            [*command, "-o", tmp_out, str(src), *_LIBS],
             check=True,
             capture_output=True,
             timeout=120,
@@ -281,8 +486,8 @@ def load() -> Optional[ctypes.CDLL]:
             _build_error = f"kernel build failed: {exc}"
     if lib is None:
         logger.warning(
-            "relaxed-tier C kernel unavailable, relaxed solves run the "
-            "exact numpy path: %s",
+            "C kernel unavailable, relaxed solves run the exact numpy path "
+            "and exact solves run the numpy loop: %s",
             _build_error,
         )
         return None
@@ -303,6 +508,10 @@ def load() -> Optional[ctypes.CDLL]:
         + [i64] * 6
         + [f64] * 2
     )
+    lib.fastcap_mva_exact_step.restype = f64
+    lib.fastcap_mva_exact_step.argtypes = [
+        ctypes.POINTER(ExactStepArgs), i64, f64, f64
+    ]
     _lib = lib
     return _lib
 
@@ -310,6 +519,77 @@ def load() -> Optional[ctypes.CDLL]:
 def build_error() -> Optional[str]:
     """Why the library is unavailable (None when it loaded or untried)."""
     return _build_error
+
+
+#: ``fastcap_exact_args``' single-array fields, in declaration order.
+_EXACT_ARRAYS = (
+    "routing", "bank_service", "bus_transfer", "bg_rates", "population",
+    "think", "fg", "x", "q", "rates", "bus_wait", "s_fg", "bank_q", "r_prod",
+)
+_P_F64 = ctypes.POINTER(ctypes.c_double)
+
+
+class ExactStepArgs(ctypes.Structure):
+    """The C ``fastcap_exact_args`` block: one solver's buffers."""
+
+    _fields_ = [
+        *((name, _P_F64) for name in _EXACT_ARRAYS),
+        ("r_bank", _P_F64 * 2),
+        ("bank_ctrl", ctypes.POINTER(ctypes.c_int64)),
+        *(
+            (name, ctypes.c_int64)
+            for name in ("n", "n_banks", "n_ctrl", "unit_pop", "has_bg")
+        ),
+        ("pop_wait", ctypes.c_double),
+    ]
+
+
+class ExactStep(NamedTuple):
+    """``fastcap_mva_exact_step`` bound to one solver's buffers.
+
+    One iteration is ``call(ref, slot, damping, retained)``; ``ref``
+    is ``byref(args)``, made once because a fresh one costs more than
+    the rest of the call's argument conversion.
+    """
+
+    call: Callable[..., float]
+    args: ExactStepArgs
+    ref: object
+
+
+def bind_exact_step(arrays, **buffers: np.ndarray) -> Optional[ExactStep]:
+    """Bind ``fastcap_mva_exact_step`` to one solver's buffers.
+
+    ``arrays`` is the solver's :class:`~repro.queueing.arrays.NetworkArrays`;
+    ``buffers`` names the block's other array fields (``fg``, ``x``,
+    ``q``, the scratch, and ``r_bank``, the pair of response buffers).
+    Returns None when the library is unavailable.  The block holds raw
+    addresses, so the caller keeps every buffer alive and writes them
+    only in place; it sets the per-solve fields ``has_bg`` and
+    ``pop_wait`` before each solve.
+    """
+    lib = load()
+    if lib is None:
+        return None
+    a = arrays
+    fields = dict(
+        buffers,
+        routing=a.routing,
+        bank_service=a.bank_service,
+        bus_transfer=a.bus_transfer,
+        bg_rates=a.bg_rates,
+        population=a.population,
+        think=a.think_s,
+    )
+    args = ExactStepArgs()
+    for name in _EXACT_ARRAYS:
+        setattr(args, name, _ptr_f64(fields[name]))
+    args.r_bank[0], args.r_bank[1] = map(_ptr_f64, fields["r_bank"])
+    args.bank_ctrl = _ptr_i64(a.bank_ctrl)
+    args.n, args.n_banks = a.routing.shape
+    args.n_ctrl = a.n_controllers
+    args.unit_pop = bool(np.all(a.population == 1.0))
+    return ExactStep(lib.fastcap_mva_exact_step, args, ctypes.byref(args))
 
 
 def _ptr_f64(a: np.ndarray):

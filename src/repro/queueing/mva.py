@@ -24,8 +24,14 @@ owns preallocated scratch buffers so one iteration performs no Python
 object construction and no array allocation.  The op-for-op float
 sequence is identical to the original spec-walking implementation
 (enforced by the golden-parity suite), so results are bit-identical;
-only the bookkeeping around the math changed.  :func:`solve_mva` keeps
-the historical signature and accepts either a
+only the bookkeeping around the math changed.  An iteration is one
+numpy gemv (``x @ routing``, whose BLAS accumulation order only numpy
+can reproduce) followed by ~35 elementwise ops and reductions; when
+the C library of :mod:`repro.queueing.kernels.cext` loads, those run
+as one call of its exact step, which follows numpy's op order and
+reduction orders to the bit, and otherwise as the numpy loop, which
+is also the step's test reference.  :func:`solve_mva` keeps the
+historical signature and accepts either a
 :class:`~repro.queueing.network.QueueingNetwork` or a prebuilt
 :class:`NetworkArrays`.
 """
@@ -145,6 +151,21 @@ class MVASolver:
         # controller count are fixed at construction).
         self._unit_pop = bool(np.all(arrays.population == 1.0))
         self._scalar_bus = n_ctrl == 1
+        # The compiled exact step, bound once to the buffers above (all
+        # written in place only); None runs the numpy loop instead.
+        self._r_banks = (self._r_bank, self._r_bank_alt)
+        self._step = cext.bind_exact_step(
+            arrays,
+            fg=self._fg,
+            x=self._x,
+            q=self._q,
+            rates=self._rates,
+            bus_wait=self._bus_wait,
+            s_fg=self._s_fg,
+            bank_q=self._bank_q,
+            r_prod=self._r_prod,
+            r_bank=self._r_banks,
+        )
 
     # ------------------------------------------------------------------
     def solve(
@@ -271,7 +292,73 @@ class MVASolver:
         way because an iteration reads nothing but ``x``, ``q``, the
         iteration counter and the damping state.
 
+        Runs :meth:`_compiled_fixed_point` when the C library loaded,
+        else :meth:`_numpy_fixed_point`; the two are bit-identical.
+
         Raises :class:`ConvergenceError` past ``max_iterations``.
+        """
+        run = (
+            self._numpy_fixed_point
+            if self._step is None
+            else self._compiled_fixed_point
+        )
+        return run(first_iteration, current_damping, max_iterations, tolerance)
+
+    # ------------------------------------------------------------------
+    def _compiled_fixed_point(
+        self,
+        first_iteration: int,
+        current_damping: float,
+        max_iterations: int,
+        tolerance: float,
+    ) -> int:
+        """:meth:`_fixed_point` as numpy's gemv plus one C call per iteration.
+
+        ``x @ routing`` stays in numpy (its BLAS accumulation order is
+        the build's); ``fastcap_mva_exact_step``
+        (:mod:`repro.queueing.kernels.cext`) performs every other op of
+        :meth:`_numpy_fixed_point`'s iteration in numpy's order, so the
+        state after each iteration is the same to the bit — including
+        which response buffer holds what.
+        """
+        a = self.arrays
+        step, args, ref = self._step
+        # The per-solve invariants the numpy loop derives.
+        args.has_bg = bool(np.any(a.bg_rates > 0))
+        args.pop_wait = max(float(a.population.sum()) - 1.0, 0.0)
+        matmul, x, routing, fg = np.matmul, self._x, a.routing, self._fg
+        r_banks = self._r_banks
+        # The buffer this iteration writes: the numpy loop's r_bank_new.
+        slot = 1 if self._r_bank_alt is r_banks[1] else 0
+
+        last_rel_change = np.inf
+        retained = 1.0 - current_damping
+        for iteration in range(first_iteration, max_iterations + 1):
+            if iteration % 300 == 0:
+                current_damping *= 0.5
+                retained = 1.0 - current_damping
+            matmul(x, routing, out=fg)
+            last_rel_change = step(ref, slot, current_damping, retained)
+            slot ^= 1
+            if last_rel_change < tolerance:
+                break
+        else:
+            raise _not_converged(max_iterations, last_rel_change, current_damping)
+        self._r_bank, self._r_bank_alt = r_banks[slot ^ 1], r_banks[slot]
+        return iteration
+
+    # ------------------------------------------------------------------
+    def _numpy_fixed_point(
+        self,
+        first_iteration: int,
+        current_damping: float,
+        max_iterations: int,
+        tolerance: float,
+    ) -> int:
+        """:meth:`_fixed_point` as ~35 numpy ops per iteration.
+
+        The reference the compiled step reproduces, and the path when
+        the C library cannot be built or loaded.
         """
         a = self.arrays
         n_ctrl = a.n_controllers
@@ -406,14 +493,7 @@ class MVASolver:
             if last_rel_change < tolerance:
                 break
         else:
-            raise ConvergenceError(
-                f"AMVA did not converge in {max_iterations} iterations "
-                f"(last relative change {last_rel_change:.3e}, "
-                f"damping decayed to {current_damping:.3g})",
-                iterations=max_iterations,
-                last_rel_change=float(last_rel_change),
-                damping=current_damping,
-            )
+            raise _not_converged(max_iterations, last_rel_change, current_damping)
         # Keep the double buffers consistent for the next solve.
         self._r_bank, self._r_bank_alt = r_bank, r_bank_new
         return iteration
@@ -515,6 +595,20 @@ class MVASolver:
             controller_visit_probs=a.visit_matrix.copy(),
             iterations=iteration,
         )
+
+
+def _not_converged(
+    max_iterations: int, last_rel_change: float, damping: float
+) -> ConvergenceError:
+    """The exact tier's exhausted-budget error."""
+    return ConvergenceError(
+        f"AMVA did not converge in {max_iterations} iterations "
+        f"(last relative change {last_rel_change:.3e}, "
+        f"damping decayed to {damping:.3g})",
+        iterations=max_iterations,
+        last_rel_change=float(last_rel_change),
+        damping=damping,
+    )
 
 
 def solve_mva(

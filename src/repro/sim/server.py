@@ -502,16 +502,11 @@ class ServerSimulator:
         self.workload = workload
         self.engine = engine
         #: Numeric parity tier: ``"exact"`` serves every AMVA solve
-        #: through the byte-reproducible numpy kernel; ``"relaxed"``
-        #: routes solves through the compiled C loop-nest (run-level
-        #: ≤1e-8 relative agreement, see repro.queueing.kernels).
+        #: byte-reproducibly (numpy's gemv plus the compiled exact
+        #: step); ``"relaxed"`` routes solves through the compiled C
+        #: loop-nest (run-level ≤1e-8 relative agreement, see
+        #: repro.queueing.kernels).
         self.parity = parity
-        if parity == "relaxed":
-            from repro.queueing.kernels import warmup
-
-            # Build up front (memoised per process), so compile cost
-            # never lands inside a measured epoch.
-            warmup()
         self._eventsim_window_s = eventsim_window_s
         self._run_seed = seed
         self._rng = np.random.default_rng(seed)
@@ -546,6 +541,8 @@ class ServerSimulator:
             think_s=np.zeros(config.n_cores),
             names=tuple(a.name for a in self._apps),
         )
+        # Binding the solver loads the C library (building it once per
+        # process), so compile cost never lands inside a measured epoch.
         self._solver = MVASolver(self._arrays)
         self._phase_tables = [self._cached_phase_table(a) for a in self._apps]
         #: Monotone operating-point counter: seeds the event-driven

@@ -5,10 +5,14 @@ iteration once, as a C loop-nest.  When a C compiler is present these
 tests run it against :class:`~repro.queueing.mva.MVASolver`, both
 through its raw entry points and through the solvers'
 ``solve_relaxed``; the ``failed_build`` fixture gives the process a
-compiler that always fails, to check the exact numpy fallback.
+compiler that always fails, to check the numpy fallback of both tiers.
+The exact tier's compiled step has its own bit-identity suite
+(``test_exact_step.py``).
 """
 
+import json
 import logging
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +25,7 @@ from repro.queueing.kernels import cext, warmup
 from repro.queueing.mva import MVASolver
 
 from tests.conftest import make_network
-from tests.golden_grid import golden_specs, result_content_hash
+from tests.golden_grid import GOLDEN_FIXTURE, golden_specs, result_content_hash
 
 #: Relaxed-tier agreement bound (mirrors the parity fixture's gate).
 RTOL = 1e-8
@@ -107,7 +111,14 @@ class TestRegistry:
         monkeypatch.setenv("FASTCAP_KERNEL_CACHE", str(cache))
         _reset_loader(monkeypatch)
         assert warmup().compiled
-        assert len(list(cache.glob("fastcap_mva_*.so"))) == 1
+        built = list(cache.glob("fastcap_mva_*.so"))
+        assert len(built) == 1
+        # The name hashes the compile command with the source: other
+        # flags build another library instead of reusing this one.
+        monkeypatch.setattr(cext, "_FLAGS", ("-O2", *cext._FLAGS[1:]))
+        other = cext._build(cext._compiler(), cache)
+        assert other.exists() and other.name != built[0].name
+        assert len(list(cache.glob("fastcap_mva_*.so"))) == 2
 
     def test_instances_are_memoised(self):
         assert warmup() is warmup()
@@ -132,7 +143,10 @@ class TestRegistry:
             r for r in caplog.records if r.name == "repro.queueing.kernels"
         ]
         assert len(warnings) == 1
-        assert error in warnings[0].getMessage()
+        message = warnings[0].getMessage()
+        assert error in message
+        # The warning names what each tier falls back to.
+        assert "relaxed solves" in message and "exact solves" in message
 
 
 # ----------------------------------------------------------------------
@@ -309,13 +323,19 @@ class TestFleetRelaxed:
 # The fallback at run level
 # ----------------------------------------------------------------------
 def test_fallback_runs_are_byte_identical_to_exact(failed_build, caplog):
-    """Without the C kernel a relaxed run is its exact run, bit for bit,
+    """Without the C library an exact run (the numpy loop) still hashes
+    to the golden fixture, a relaxed run is its exact run, bit for bit,
     scalar and fleet, and the process warns once."""
     from repro.campaign import Campaign, CampaignRunner
     from repro.campaign.runner import execute_spec
 
+    fixture = json.loads(
+        (Path(__file__).parents[1] / GOLDEN_FIXTURE).read_text()
+    )
     specs = golden_specs()[:3]
     exact = {s: result_content_hash(execute_spec(s)) for s in specs}
+    for spec in specs:
+        assert exact[spec] == fixture[spec.to_json()]
     with caplog.at_level(logging.WARNING, logger="repro.queueing.kernels"):
         for spec in specs:
             relaxed = execute_spec(spec.replace(parity="relaxed"))
@@ -358,3 +378,20 @@ def test_warm_starts_reach_the_same_fixed_point(scale, tilt, think_ns):
 
     relaxed = solver.solve_relaxed(initial_throughput=warm.copy())
     np.testing.assert_allclose(relaxed.throughput_per_s, reference, rtol=RTOL)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="known: at the default tolerance this slowly contracting "
+    "network stops ~2.2e-8 short of its fixed point, so a warm start "
+    "from the cold solution lands outside RTOL (the stopping rule "
+    "under slow contraction is an open ROADMAP item)",
+)
+def test_warm_start_under_slow_contraction_reaches_the_fixed_point():
+    """The draw the warm-start property found failing, pinned."""
+    solver = make_solver(n_classes=8, think_ns=44.625)
+    reference = solver.solve().throughput_per_s.copy()
+    warm_exact = solver.solve(initial_throughput=reference.copy())
+    np.testing.assert_allclose(
+        warm_exact.throughput_per_s, reference, rtol=RTOL
+    )
