@@ -21,14 +21,16 @@
 * **fleet batching** — ``batch="fleet"`` groups cache-miss specs that
   share a network shape (core count × controller count) and advances
   each group's runs in lockstep through one
-  :class:`~repro.sim.server.FleetSimulator`, so the AMVA solves and
-  FastCap decision bisections batch across runs instead of looping
-  :func:`execute_spec`.  Per-spec results stay byte-identical to the
-  scalar path (the golden-parity suite gates this) with the same
-  caveat as the worker fan-out — decision wall times are measured,
-  never batched, for specs that record them — so fleet and scalar
-  runs share one cache.  Composes with ``jobs``: each fleet chunk
-  becomes one worker task.
+  :class:`~repro.sim.server.FleetSimulator`, so the FastCap decision
+  bisections batch across runs instead of looping
+  :func:`execute_spec`.  Solves do not batch on the exact tier: each
+  run's AMVA solve is its own compiled scalar solve, exactly as on the
+  scalar path (relaxed-tier solves share one batched C call).
+  Per-spec results stay byte-identical to the scalar path (the
+  golden-parity suite gates this) with the same caveat as the worker
+  fan-out — decision wall times are measured, never batched, for
+  specs that record them — so fleet and scalar runs share one cache.
+  Composes with ``jobs``: each fleet chunk becomes one worker task.
 """
 
 from __future__ import annotations
@@ -176,8 +178,9 @@ def execute_fleet(
     The fleet twin of :func:`execute_spec`: each spec becomes one
     :class:`~repro.sim.server.FleetLane` and all lanes advance
     epoch-by-epoch through a :class:`~repro.sim.server.FleetSimulator`,
-    batching the AMVA solves across runs (and the FastCap-family
-    decisions of lanes that do not record decision wall times).
+    batching the FastCap-family decisions of lanes that do not record
+    decision wall times (exact-tier solves run on each lane's own
+    solver; relaxed-tier solves batch).
     Results are returned in spec order and are byte-identical to
     ``[execute_spec(s) for s in specs]`` for deterministic specs
     (``record_decision_time=False``); specs that measure decision

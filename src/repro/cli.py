@@ -89,9 +89,9 @@ def _add_campaign_arguments(parser: argparse.ArgumentParser) -> None:
         choices=("scalar", "fleet"),
         default="scalar",
         help="cache-miss execution: 'scalar' runs specs one by one, "
-        "'fleet' advances shape-compatible specs in one lockstep "
-        "batched simulator (byte-identical results, less dispatch "
-        "overhead)",
+        "'fleet' advances shape-compatible specs together in one "
+        "simulator that batches their FastCap decisions (each run "
+        "keeps its own compiled AMVA solves; byte-identical results)",
     )
     parser.add_argument(
         "--parity",

@@ -28,9 +28,7 @@ def campaign(
 ) -> Campaign:
     """The spec grid this figure runs (64-core MIX class by default).
 
-    ``workloads`` and ``n_cores`` narrow/scale the grid — the quick
-    path used by the fleet benchmark (64-core lanes are where lockstep
-    batching has the most numpy dispatch to amortise).
+    ``workloads`` and ``n_cores`` narrow/scale the grid.
     """
     return Campaign.grid(
         "fig10",

@@ -14,11 +14,11 @@ Two solvers are provided:
 * :mod:`repro.queueing.eventsim` — a discrete-event simulation of the
   same network, used to validate the AMVA approximation.
 
-:mod:`repro.queueing.fleet` layers cross-run batching on top of the
-MVA path: R same-shape networks stack into ``(R, n, B)`` tensors
-(:meth:`NetworkArrays.stack`) and solve in lockstep with per-lane
-convergence masks (:class:`FleetSolver`), bit-identical per lane to
-the scalar solver.
+:mod:`repro.queueing.fleet` serves R same-shape networks behind one
+solver (:class:`FleetSolver`): an exact fleet solve runs each
+participating lane's own compiled scalar solve, so lane ``k`` is that
+solve bit for bit, and a relaxed fleet solve stacks the lanes into
+``(R, n, B)`` tensors (:class:`FleetArrays`) for one batched C call.
 
 :mod:`repro.queueing.kernels` provides the compiled fixed-point code
 of both parity tiers (one C library loaded via ctypes, with the numpy

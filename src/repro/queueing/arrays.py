@@ -25,7 +25,7 @@ spec, which was pure overhead for programmatically generated values).
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -165,20 +165,6 @@ class NetworkArrays:
             ),
             names=tuple(c.name for c in network.classes),
         )
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def stack(lanes: Sequence["NetworkArrays"]):
-        """Stack same-shape networks into a :class:`~repro.queueing.fleet.FleetArrays`.
-
-        The fleet form holds ``(R, n)``, ``(R, n, B)`` and ``(R, M)``
-        tensors over the lanes and is what
-        :class:`~repro.queueing.fleet.FleetSolver` consumes to run the
-        AMVA fixed point in lockstep across independent runs.
-        """
-        from repro.queueing.fleet import FleetArrays
-
-        return FleetArrays(lanes)
 
     # ------------------------------------------------------------------
     @property

@@ -181,12 +181,7 @@ class MVASolver:
         ``tolerance`` within ``max_iterations``.
         """
         self._start(initial_throughput)
-        iteration = self._fixed_point(
-            first_iteration=1,
-            current_damping=damping,
-            max_iterations=max_iterations,
-            tolerance=tolerance,
-        )
+        iteration = self._fixed_point(damping, max_iterations, tolerance)
         return self._snapshot(self._x, self._q, self._r_bank, iteration)
 
     # ------------------------------------------------------------------
@@ -273,24 +268,17 @@ class MVASolver:
 
     # ------------------------------------------------------------------
     def _fixed_point(
-        self,
-        first_iteration: int,
-        current_damping: float,
-        max_iterations: int,
-        tolerance: float,
+        self, damping: float, max_iterations: int, tolerance: float
     ) -> int:
-        """Advance the damped fixed point from the current state.
+        """Run the damped fixed point from the state :meth:`_start` set.
 
         Iterates on ``self._x`` / ``self._q`` (the complete
-        cross-iteration state) from ``first_iteration`` until
-        convergence, leaving the final bank responses in
-        ``self._r_bank``; returns the converged (1-based) iteration
-        index.  :meth:`solve` enters here after initialising the state;
-        the fleet solver enters mid-flight to finish straggler lanes
-        one-by-one after the lockstep batch has drained — the
-        trajectory (and therefore the result) is bit-identical either
-        way because an iteration reads nothing but ``x``, ``q``, the
-        iteration counter and the damping state.
+        cross-iteration state) from iteration 1 until convergence,
+        halving ``damping`` every 300 iterations, and leaves the final
+        bank responses in ``self._r_bank``; returns the converged
+        (1-based) iteration index.  Every exact-tier solve runs here:
+        :meth:`solve`, and through it each lane of
+        :meth:`repro.queueing.fleet.FleetSolver.solve`.
 
         Runs :meth:`_compiled_fixed_point` when the C library loaded,
         else :meth:`_numpy_fixed_point`; the two are bit-identical.
@@ -302,15 +290,11 @@ class MVASolver:
             if self._step is None
             else self._compiled_fixed_point
         )
-        return run(first_iteration, current_damping, max_iterations, tolerance)
+        return run(damping, max_iterations, tolerance)
 
     # ------------------------------------------------------------------
     def _compiled_fixed_point(
-        self,
-        first_iteration: int,
-        current_damping: float,
-        max_iterations: int,
-        tolerance: float,
+        self, damping: float, max_iterations: int, tolerance: float
     ) -> int:
         """:meth:`_fixed_point` as numpy's gemv plus one C call per iteration.
 
@@ -332,8 +316,9 @@ class MVASolver:
         slot = 1 if self._r_bank_alt is r_banks[1] else 0
 
         last_rel_change = np.inf
+        current_damping = damping
         retained = 1.0 - current_damping
-        for iteration in range(first_iteration, max_iterations + 1):
+        for iteration in range(1, max_iterations + 1):
             if iteration % 300 == 0:
                 current_damping *= 0.5
                 retained = 1.0 - current_damping
@@ -349,11 +334,7 @@ class MVASolver:
 
     # ------------------------------------------------------------------
     def _numpy_fixed_point(
-        self,
-        first_iteration: int,
-        current_damping: float,
-        max_iterations: int,
-        tolerance: float,
+        self, damping: float, max_iterations: int, tolerance: float
     ) -> int:
         """:meth:`_fixed_point` as ~35 numpy ops per iteration.
 
@@ -403,8 +384,9 @@ class MVASolver:
         pop_col = self._pop_col
 
         last_rel_change = np.inf
+        current_damping = damping
         retained = 1.0 - current_damping
-        for iteration in range(first_iteration, max_iterations + 1):
+        for iteration in range(1, max_iterations + 1):
             # Heavily congested points can make the plain fixed point
             # oscillate; progressively stronger damping always settles it.
             if iteration % 300 == 0:
@@ -497,42 +479,6 @@ class MVASolver:
         # Keep the double buffers consistent for the next solve.
         self._r_bank, self._r_bank_alt = r_bank, r_bank_new
         return iteration
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def solve_fleet(
-        cls,
-        lanes,
-        max_iterations: int = 2000,
-        tolerance: float = 1e-10,
-        damping: float = 0.5,
-        initial_throughput: Optional[np.ndarray] = None,
-    ):
-        """Solve R same-shape networks in one lockstep batched run.
-
-        ``lanes`` is a sequence of :class:`MVASolver`,
-        :class:`NetworkArrays` or :class:`QueueingNetwork` values; the
-        returned list holds one :class:`MVASolution` per lane, each
-        bit-identical to what :meth:`solve` would produce for that lane
-        alone.  Hot loops that solve the same fleet repeatedly should
-        hold a :class:`~repro.queueing.fleet.FleetSolver` instead of
-        calling this convenience wrapper (it rebuilds the stacked
-        tensors on every call).
-        """
-        from repro.queueing.fleet import FleetSolver
-
-        resolved = [
-            lane
-            if isinstance(lane, (cls, NetworkArrays))
-            else NetworkArrays.from_network(lane)
-            for lane in lanes
-        ]
-        return FleetSolver(resolved).solve(
-            max_iterations=max_iterations,
-            tolerance=tolerance,
-            damping=damping,
-            initial_throughput=initial_throughput,
-        )
 
     # ------------------------------------------------------------------
     def _snapshot(

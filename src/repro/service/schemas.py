@@ -128,7 +128,7 @@ class SessionCreate:
 
     Without ``lanes`` the session owns one :class:`ServerSimulator`;
     with ``lanes`` it owns a lockstep fleet (one simulator per lane,
-    batched AMVA solves).  ``max_epochs=None`` makes the session
+    batched FastCap decisions).  ``max_epochs=None`` makes the session
     unbounded — it runs until stopped or deleted, the service-mode
     default.
     """

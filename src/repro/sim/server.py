@@ -280,9 +280,10 @@ class SolveRequest:
     Emitted by the step generators at exactly the points where the
     inline code used to call ``self._solver.solve``; the lane's
     :class:`~repro.queueing.arrays.NetworkArrays` already hold the
-    operating point's inputs when the request is yielded.  The scalar
-    driver answers with the lane's own solver; the fleet driver stacks
-    concurrent requests into one lockstep batched solve.
+    operating point's inputs when the request is yielded.  Both drivers
+    answer with the lane's own solver: the scalar driver directly, the
+    fleet driver by handing a tick's concurrent requests to one
+    :class:`~repro.queueing.fleet.FleetSolver` call.
     """
 
     warm_start: np.ndarray
@@ -853,7 +854,7 @@ class ServerSimulator:
 
         Drives :meth:`_operating_point_steps` with the simulator's own
         scalar solver; :class:`FleetSimulator` drives the same
-        generator with batched solves instead.
+        generator and serves its solves through a fleet solver.
         """
         gen = self._operating_point_steps(
             settings, instructions_retired, fixed_point_iterations
@@ -1287,7 +1288,8 @@ class ServerSimulator:
         yielded request with the simulator's own solver and a direct
         ``policy.decide`` call.  :class:`FleetSimulator` drives many
         ``run_steps`` generators in lockstep instead, batching the
-        solves (and FastCap decisions) across runs.
+        FastCap decisions (and relaxed-tier solves) across runs; exact
+        solves run on each lane's own solver there too.
         """
         gen = self.run_steps(
             policy,
@@ -1521,22 +1523,22 @@ class FleetSimulator:
     Each lane's entire simulation logic runs through its own
     :meth:`ServerSimulator.run_steps` generator — the exact code the
     scalar path executes — while this driver serves the yielded
-    requests fleet-wide: concurrent :class:`SolveRequest`\\ s stack into
-    one lockstep batched AMVA solve
-    (:class:`repro.queueing.fleet.FleetSolver`, bit-identical per lane
-    to the scalar solver), and concurrent FastCap-family
-    :class:`DecideRequest`\\ s batch their Theorem-1 degradation
-    bisections across lanes × candidates.  Lanes keep their own epoch
-    clocks and finish independently (a lane that hits its instruction
-    quota simply leaves the lockstep); per-lane results are therefore
-    byte-identical to running each lane alone, up to the same caveat
-    the multiprocess fan-out has: decision wall times are measured,
-    not simulated.  Lanes that *record* those times never join a
-    batched decision — each gets an individually timed per-governor
-    decide, exactly like the scalar path — so fleet-executed results
-    are as cache-valid as worker-executed ones (runs meant to be
-    bit-reproducible set ``measure_decision_time=False``, which
-    records 0.0 on both paths and lets FastCap decisions batch).
+    requests fleet-wide: concurrent :class:`SolveRequest`\\ s go to one
+    :class:`repro.queueing.fleet.FleetSolver` call, which runs each exact
+    lane's own compiled scalar solve (relaxed lanes share one batched C
+    call), and concurrent FastCap-family :class:`DecideRequest`\\ s
+    batch their Theorem-1 degradation bisections across lanes ×
+    candidates.  Lanes keep their own epoch clocks and finish
+    independently (a lane that hits its instruction quota simply
+    leaves the lockstep); per-lane results are therefore byte-identical
+    to running each lane alone, up to the same caveat the multiprocess
+    fan-out has: decision wall times are measured, not simulated.
+    Lanes that *record* those times never join a batched decision —
+    each gets an individually timed per-governor decide, exactly like
+    the scalar path — so fleet-executed results are as cache-valid as
+    worker-executed ones (runs meant to be bit-reproducible set
+    ``measure_decision_time=False``, which records 0.0 on both paths
+    and lets FastCap decisions batch).
 
     Lanes must share the network shape (core count, bank count,
     controller count); everything else — workload, policy, budget,
@@ -1690,7 +1692,7 @@ class FleetSimulator:
         # Group by (tolerance, parity tier).  Tolerance is uniform in
         # practice — every lane's operating-point solve uses the same
         # constant — and parity partitions lanes between the exact
-        # lockstep solver and the relaxed compiled kernel, so a mixed
+        # per-lane solves and the relaxed batched kernel, so a mixed
         # fleet serves each tier's lanes on that tier's contract.
         groups: Dict[Tuple[float, str], List[int]] = {}
         for i, req in solves.items():
@@ -1698,37 +1700,24 @@ class FleetSimulator:
             groups.setdefault(key, []).append(i)
         for (tolerance, parity), lane_ids in groups.items():
             relaxed = parity == "relaxed"
-            if len(lane_ids) == 1:
+            if relaxed and len(lane_ids) == 1:
                 i = lane_ids[0]
-                req = solves[i]
-                solver = self.lanes[i].simulator._solver
-                if relaxed:
-                    responses[i] = solver.solve_relaxed(
-                        initial_throughput=req.warm_start,
-                        tolerance=tolerance,
-                    )
-                else:
-                    responses[i] = solver.solve(
-                        initial_throughput=req.warm_start,
-                        tolerance=tolerance,
-                    )
+                responses[i] = self.lanes[i].simulator._serve_solve(solves[i])
                 continue
             mask = np.zeros(len(self.lanes), dtype=bool)
             for i in lane_ids:
                 mask[i] = True
                 self._warm[i] = solves[i].warm_start
-            if relaxed:
-                solutions = self._fleet_solver.solve_relaxed(
-                    tolerance=tolerance,
-                    initial_throughput=self._warm,
-                    lanes=mask,
-                )
-            else:
-                solutions = self._fleet_solver.solve(
-                    tolerance=tolerance,
-                    initial_throughput=self._warm,
-                    lanes=mask,
-                )
+            solve = (
+                self._fleet_solver.solve_relaxed
+                if relaxed
+                else self._fleet_solver.solve
+            )
+            solutions = solve(
+                tolerance=tolerance,
+                initial_throughput=self._warm,
+                lanes=mask,
+            )
             for i in lane_ids:
                 responses[i] = solutions[i]
 

@@ -9,14 +9,16 @@ response buffers (and which one ``_r_bank`` names), the iteration
 count and the :meth:`~MVASolver._snapshot`, or the
 :class:`~repro.errors.ConvergenceError` fields and the state it leaves.
 
-The cases cover the op-order rules the C step follows: one bank (where
-numpy's per-bank queue sum turns pairwise), fewer than 8, exactly 8, a
-non-multiple of 8 and more than 128 banks (the branches of numpy's
-pairwise sum), one or several controllers with contiguous or shuffled
-bank maps, unit and non-unit populations, background traffic on and
-off, warm and cold starts, resumes across the iteration-300 damping
-halving and exhausted budgets.  The suite runs under `hypothesis` when
-available and over a seeded grid otherwise.
+Every case starts at iteration 1 with the solve's default damping,
+as every solve does.  The cases cover the op-order rules the C step
+follows: one bank (where numpy's per-bank queue sum turns pairwise),
+fewer than 8, exactly 8, a non-multiple of 8 and more than 128 banks
+(the branches of numpy's pairwise sum), one or several controllers
+with contiguous or shuffled bank maps, unit and non-unit populations,
+background traffic on and off, warm and cold starts, and budgets that
+run out, one of them past the iteration-300 damping halving.  The
+suite runs under `hypothesis` when available and over a seeded grid
+otherwise.
 """
 
 from __future__ import annotations
@@ -60,8 +62,8 @@ def random_case(
     unit_pop: Optional[bool] = None,
     with_bg: Optional[bool] = None,
     warm: Optional[bool] = None,
-    first_iteration: Optional[int] = None,
     max_iterations: Optional[int] = None,
+    tolerance: Optional[float] = None,
 ) -> dict:
     """Draw one network, start and budget; keywords pin a draw."""
     rng = np.random.default_rng(seed)
@@ -76,13 +78,9 @@ def random_case(
     unit_pop = pick(unit_pop, lambda: bool(rng.random() < 0.5))
     with_bg = pick(with_bg, lambda: bool(rng.random() < 0.5))
     warm = pick(warm, lambda: bool(rng.random() < 0.5))
-    first_iteration = pick(
-        first_iteration,
-        lambda: 1 if rng.random() < 0.7 else int(rng.integers(280, 300)),
-    )
     max_iterations = pick(
         max_iterations,
-        lambda: 2000 if rng.random() < 0.7 else first_iteration + int(rng.integers(0, 40)),
+        lambda: 2000 if rng.random() < 0.7 else int(rng.integers(0, 320)),
     )
 
     # Every controller owns at least one bank.
@@ -107,11 +105,10 @@ def random_case(
     return dict(
         network=network,
         initial=rng.uniform(1e3, 1e8, n_classes) if warm else None,
-        first_iteration=first_iteration,
-        # The schedule a solve that reached this iteration would hold.
-        damping=0.5 * 0.5 ** ((first_iteration - 1) // 300),
         max_iterations=max_iterations,
-        tolerance=float(rng.choice([1e-8, 1e-10, 1e-12])),
+        tolerance=pick(
+            tolerance, lambda: float(rng.choice([1e-8, 1e-10, 1e-12]))
+        ),
     )
 
 
@@ -124,12 +121,7 @@ def advance(case: dict, compiled: bool):
     solver._r_bank_alt.fill(-1.0)
     run = solver._compiled_fixed_point if compiled else solver._numpy_fixed_point
     try:
-        outcome = run(
-            case["first_iteration"],
-            case["damping"],
-            case["max_iterations"],
-            case["tolerance"],
-        )
+        outcome = run(0.5, case["max_iterations"], case["tolerance"])
     except ConvergenceError as err:
         outcome = (err.iterations, err.last_rel_change, err.damping, str(err))
     return solver, outcome
@@ -179,22 +171,22 @@ PINNED = {
     "non-unit-population": dict(unit_pop=False, with_bg=False),
     "cold-start": dict(warm=False),
     "warm-start": dict(warm=True),
-    # Damping halves at iteration 300.
-    "resume-across-300": dict(first_iteration=290),
 }
 
-#: (first_iteration, max_iterations) of budgets that run out.
+#: Budgets that run out, and the pins that make them run out.
 EXHAUSTED = {
-    "three-iterations": (1, 3),
-    "across-300": (295, 310),
-    "empty": (5, 4),
+    "three-iterations": dict(max_iterations=3),
+    "empty": dict(max_iterations=0),
+    # A zero tolerance never converges, so the damping halves at
+    # iteration 300 and the error reports the halved damping.
+    "across-300": dict(max_iterations=310, tolerance=0.0),
 }
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_pinned_case_is_bit_identical(name):
     # Cold full-budget solves unless the case says otherwise.
-    pins = dict(warm=False, first_iteration=1, max_iterations=2000)
+    pins = dict(warm=False, max_iterations=2000)
     pins.update(PINNED[name])
     iterations = check_bit_identity(random_case(sum(map(ord, name)), **pins))
     assert isinstance(iterations, int)
@@ -202,16 +194,15 @@ def test_pinned_case_is_bit_identical(name):
 
 @pytest.mark.parametrize("name", sorted(EXHAUSTED))
 def test_exhausted_budget_raises_identical_errors(name):
-    first, last = EXHAUSTED[name]
-    case = random_case(
-        sum(map(ord, name)), first_iteration=first, max_iterations=last
-    )
-    outcome = check_bit_identity(case)
-    assert outcome[0] == last  # ConvergenceError.iterations
+    pins = EXHAUSTED[name]
+    outcome = check_bit_identity(random_case(sum(map(ord, name)), **pins))
+    budget = pins["max_iterations"]
+    assert outcome[0] == budget  # ConvergenceError.iterations
+    assert outcome[2] == 0.5 * 0.5 ** (budget // 300)  # .damping
 
 
 def test_solve_runs_the_compiled_step(monkeypatch):
-    case = random_case(3, n_banks=16, first_iteration=1, max_iterations=2000)
+    case = random_case(3, n_banks=16, max_iterations=2000)
     solver = MVASolver(NetworkArrays(**case["network"]))
     assert solver._step is not None
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ConvergenceError
 from repro.queueing import FleetArrays, FleetSolver, MVASolver, NetworkArrays
 
 try:
@@ -222,10 +222,9 @@ else:  # pragma: no cover - minimal CI images only
 # Structural behaviour
 # ----------------------------------------------------------------------
 class TestFleetArrays:
-    def test_stack_is_the_fleet_constructor(self):
+    def test_fleet_arrays_stack_the_lanes(self):
         lanes = random_fleet(0)
-        fleet = NetworkArrays.stack(lanes)
-        assert isinstance(fleet, FleetArrays)
+        fleet = FleetArrays(lanes)
         assert fleet.n_lanes == len(lanes)
         assert fleet.routing.shape == (
             len(lanes),
@@ -243,15 +242,15 @@ class TestFleetArrays:
         ):
             pytest.skip("seeds drew identical shapes")
         with pytest.raises(ConfigurationError):
-            NetworkArrays.stack([a, b])
+            FleetArrays([a, b])
 
     def test_empty_fleet_rejected(self):
         with pytest.raises(ConfigurationError):
-            NetworkArrays.stack([])
+            FleetArrays([])
 
     def test_gather_tracks_in_place_updates(self):
         lanes = random_fleet(3)
-        fleet = NetworkArrays.stack(lanes)
+        fleet = FleetArrays(lanes)
         lanes[0].update(s_m=42e-9)
         fleet.gather()
         np.testing.assert_array_equal(
@@ -260,7 +259,7 @@ class TestFleetArrays:
 
     def test_gather_skips_unchanged_lanes(self):
         lanes = random_fleet(4)
-        fleet = NetworkArrays.stack(lanes)
+        fleet = FleetArrays(lanes)
         # Corrupt a row, then gather without touching the lane: the
         # version check must skip the copy (the corruption survives).
         fleet.bank_service[0, 0] = -1.0
@@ -282,10 +281,17 @@ class TestFleetSolverEdges:
         out = solver.solve(lanes=np.zeros(solver.n_lanes, dtype=bool))
         assert out == [None] * solver.n_lanes
 
-    def test_solve_fleet_accepts_networks(self, small_network):
-        from repro.queueing import solve_mva
-
-        fleet = MVASolver.solve_fleet([small_network, small_network])
-        ref = solve_mva(small_network)
-        for sol in fleet:
-            assert_bit_identical(ref, sol, "network input")
+    @pytest.mark.parametrize("first", [0, 1])
+    def test_failing_lane_raises_its_scalar_error(self, first):
+        """The first participating lane's own scalar error surfaces,
+        whatever the lanes after it would have reported."""
+        lanes = random_fleet(2)  # six lanes; neither lane 0 nor 1 steps most
+        mask = np.arange(len(lanes)) >= first
+        with pytest.raises(ConvergenceError) as fleet_error:
+            FleetSolver(lanes).solve(max_iterations=2, lanes=mask)
+        with pytest.raises(ConvergenceError) as scalar_error:
+            MVASolver(lanes[first]).solve(max_iterations=2)
+        for field in ("iterations", "last_rel_change", "damping"):
+            assert getattr(fleet_error.value, field) == getattr(
+                scalar_error.value, field
+            ), field

@@ -21,6 +21,8 @@ from repro.campaign.runner import (
 )
 from repro.errors import ConfigurationError
 from repro.policies.registry import make_policy
+from repro.queueing.fleet import FleetSolver
+from repro.queueing.kernels import cext
 from repro.sim.server import (
     DecideRequest,
     EpochComplete,
@@ -220,3 +222,44 @@ class TestFleetSimulatorStructure:
         specs = [_spec(max_epochs=2), _spec(workload="MIX2", max_epochs=2)]
         FleetSimulator([_lane(s) for s in specs]).run()
         assert calls["n"] > 0
+
+
+class TestFleetSimulatorSolves:
+    @pytest.mark.skipif(cext.load() is None, reason="no C compiler available")
+    def test_each_lane_solve_runs_the_compiled_step(self, monkeypatch):
+        """Every lane-solve the fleet asks of ``FleetSolver.solve`` is
+        one run of that lane's compiled scalar fixed point, and the
+        numpy loop never runs."""
+        specs = [
+            _spec(),
+            _spec(workload="MEM2"),
+            _spec(workload="ILP1", policy="eql-pwr"),
+            _spec(workload="MIX2", budget_fraction=0.4),
+        ]
+        fleet = FleetSimulator([_lane(s) for s in specs])
+        counts = {"requested": 0, "compiled": 0}
+        fleet_solve = FleetSolver.solve
+
+        def requested(self, *args, lanes=None, **kwargs):
+            counts["requested"] += (
+                self.n_lanes if lanes is None else int(np.count_nonzero(lanes))
+            )
+            return fleet_solve(self, *args, lanes=lanes, **kwargs)
+
+        def refuse(*args):
+            raise AssertionError("the numpy loop ran")
+
+        monkeypatch.setattr(FleetSolver, "solve", requested)
+        for lane in fleet.lanes:
+            solver = lane.simulator._solver
+
+            def compiled(*args, run=solver._compiled_fixed_point):
+                counts["compiled"] += 1
+                return run(*args)
+
+            monkeypatch.setattr(solver, "_numpy_fixed_point", refuse)
+            monkeypatch.setattr(solver, "_compiled_fixed_point", compiled)
+        results = fleet.run()
+        assert [r.n_epochs for r in results] == [3] * len(specs)
+        assert counts["requested"] > 0
+        assert counts["compiled"] == counts["requested"]
