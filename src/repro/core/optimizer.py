@@ -19,6 +19,15 @@ ignores: a core whose constraint would demand more than f_max (its
 constraint goes slack — it simply runs at max), or less than f_min
 (it runs at min; the budget shortfall is then spread over the rest by
 the root solve).
+
+One row kernel runs every bisection: :func:`solve_degradation` is its
+K=1 call, :func:`solve_degradation_batch` its K=M call over one
+epoch's memory candidates, and :func:`solve_degradation_lanes` its
+K=rows call across fleet lanes.  When the C library of
+:mod:`repro.queueing.kernels.cext` loads, ``fastcap_decide_step`` runs
+all of it except ``ratios**alpha``, which stays one numpy ``power``
+call over all K rows per step; without it the numpy kernel
+(:func:`_solve_degradation_rows`) runs.  Both give the same bits.
 """
 
 from __future__ import annotations
@@ -30,6 +39,7 @@ import numpy as np
 
 from repro.core.model import FastCapInputs
 from repro.errors import ModelError
+from repro.queueing.kernels import cext
 
 #: Bisection tolerance on D (relative).
 _D_TOL = 1e-10
@@ -122,17 +132,17 @@ def _solve_degradation_rows(
     mem_power: np.ndarray,
     static_w,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Row-parallel Theorem-1 bisection: the shared lockstep kernel.
+    """Row-parallel Theorem-1 bisection in numpy: the reference kernel.
 
     Each row is one independent (inputs, s_b candidate) degradation
     solve; ``r`` is ``(K, N)`` and every other per-core array may be
     ``(N,)`` (shared across rows, the within-lane candidate batch) or
     ``(K, N)`` (per-row, the cross-lane fleet batch) — broadcasting
     keeps the float op sequence identical either way.  All K bisections
-    advance in lock-step with a per-row convergence freeze, following
-    the exact trajectory the scalar solver takes for each row, so every
-    row is bit-identical to the corresponding
-    :func:`solve_degradation` call.
+    advance in lock-step with a per-row convergence freeze, so a row's
+    result does not depend on the rows beside it.  This is the path
+    without a C compiler, and the reference the compiled step
+    reproduces bit for bit (see :func:`_solve_rows`).
 
     Returns ``(achieved_d, z, power_w, feasible)`` row-wise.
     """
@@ -178,6 +188,32 @@ def _solve_degradation_rows(
     return achieved, z, power, ~infeasible
 
 
+def _solve_rows(**inputs) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The Theorem-1 row solve: compiled when the C library loads.
+
+    Takes :func:`_solve_degradation_rows`' arguments and returns its
+    result to the bit.  The compiled path runs ``fastcap_decide_step``
+    (:mod:`repro.queueing.kernels.cext`) with one ``np.power`` call
+    between C calls, because numpy's ``power`` cannot be reproduced in
+    C.  Without the library, and for rows without cores (where numpy's
+    min-reduce raises), the numpy kernel runs.
+    """
+    n = inputs["r"].shape[1]
+    step = cext.bind_decide_step(_MAX_BISECTIONS, _D_TOL, **inputs) if n else None
+    if step is None:
+        return _solve_degradation_rows(**inputs)
+    call, address = step.call, step.address
+    ratios, alpha, powed = step.ratios, step.alpha, step.powed
+    while call(address):
+        np.power(ratios, alpha, powed)
+    return (
+        step.achieved.copy(),
+        step.z.copy(),
+        step.power.copy(),
+        step.infeasible == 0.0,
+    )
+
+
 def solve_degradation_batch(
     inputs: FastCapInputs,
     sb_candidates: Optional[np.ndarray] = None,
@@ -185,11 +221,10 @@ def solve_degradation_batch(
     """Solve line 6 of Algorithm 1 for *all* memory candidates at once.
 
     ``sb_candidates`` defaults to ``inputs.sb_candidates``.  Each
-    candidate's root solve follows the identical bisection trajectory
-    the scalar solver takes (per-lane ``lo``/``hi`` with a per-lane
-    convergence freeze), so every row of the result is bit-identical to
-    the corresponding scalar solve — the batching changes wall-clock
-    complexity from M bisections to one, not the numbers.
+    candidate is one row of the row kernel (per-row ``lo``/``hi`` with
+    a per-row convergence freeze), so row ``m`` is bit-identical to
+    ``solve_degradation(inputs, sb[m])``, the kernel's K=1 call — the
+    batching turns M bisections into one, not the numbers.
     """
     sb = (
         inputs.sb_candidates
@@ -203,7 +238,7 @@ def solve_degradation_batch(
     )  # (M,)
     available = inputs.budget_w - inputs.static_power_w - mem_power  # (M,)
 
-    achieved, z, power, feasible = _solve_degradation_rows(
+    achieved, z, power, feasible = _solve_rows(
         r=r,
         t_bar=t_bar,
         z_min=inputs.z_min,
@@ -270,7 +305,7 @@ def solve_degradation_lanes(
         available[j] = inputs.budget_w - inputs.static_power_w - mem_power[j]
         static_w[j] = inputs.static_power_w
 
-    achieved, z, power, feasible = _solve_degradation_rows(
+    achieved, z, power, feasible = _solve_rows(
         r=r,
         t_bar=t_bar,
         z_min=z_min,
@@ -296,53 +331,29 @@ def solve_degradation_lanes(
 def solve_degradation(inputs: FastCapInputs, s_b: float) -> DegradationSolution:
     """Solve line 6 of Algorithm 1: optimal D for one s_b candidate.
 
-    The scalar twin of :func:`solve_degradation_batch` (same math,
-    bit-identical result for the matching candidate).  It stays a
-    dedicated scalar path because the adaptive probes of
-    ``binary_search_sb`` evaluate one candidate at a time, where the
-    batch kernel's lane bookkeeping would only add overhead.
+    The row kernel's K=1 call (the adaptive probes of
+    ``binary_search_sb`` ask for one candidate at a time), so it is
+    bit-identical to the matching row of :func:`solve_degradation_batch`.
     """
-    r = inputs.response.per_core(s_b)
-    t_bar = inputs.best_turnaround_s()
     mem_power = inputs.memory_dynamic_power_w(s_b)
-    available = inputs.budget_w - inputs.static_power_w - mem_power
-
-    def cpu_power(d: float) -> float:
-        return inputs.core_dynamic_power_w(_z_of_d(inputs, d, r, t_bar))
-
-    def finish(d_instrument: float, feasible: bool) -> DegradationSolution:
-        z = _z_of_d(inputs, d_instrument, r, t_bar)
-        return DegradationSolution(
-            d=_achieved_d(inputs, z, r, t_bar),
-            z=z,
-            power_w=cpu_power(d_instrument) + mem_power + inputs.static_power_w,
-            feasible=feasible,
-        )
-
-    # Degradation floor: even at D -> 0 think times clip at z_max, so
-    # the meaningful lower end is where every core sits at its floor.
-    t_floor = inputs.z_max + inputs.cache + r
-    d_floor = float(np.min(t_bar / t_floor))
-    d_floor = min(max(d_floor, 1e-9), 1.0)
-
-    if cpu_power(d_floor) > available:
-        # Budget infeasible at this memory frequency: pin the floor.
-        return finish(d_floor, feasible=False)
-
-    if cpu_power(1.0) <= available:
-        # Budget slack at full speed: no degradation needed.
-        return finish(1.0, feasible=True)
-
-    lo, hi = d_floor, 1.0
-    for _ in range(_MAX_BISECTIONS):
-        mid = 0.5 * (lo + hi)
-        if cpu_power(mid) > available:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= _D_TOL * hi:
-            break
-    return finish(lo, feasible=True)  # largest D within budget
+    achieved, z, power, feasible = _solve_rows(
+        r=inputs.response.per_core(s_b)[None, :],
+        t_bar=inputs.best_turnaround_s(),
+        z_min=inputs.z_min,
+        z_max=inputs.z_max,
+        cache=inputs.cache,
+        p_max=inputs.core_p_max,
+        alpha=inputs.core_alpha,
+        available=inputs.budget_w - inputs.static_power_w - mem_power,
+        mem_power=mem_power,
+        static_w=inputs.static_power_w,
+    )
+    return DegradationSolution(
+        d=float(achieved[0]),
+        z=z[0],
+        power_w=float(power[0]),
+        feasible=bool(feasible[0]),
+    )
 
 
 @dataclass(frozen=True)

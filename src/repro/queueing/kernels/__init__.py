@@ -1,7 +1,8 @@
-"""The compiled AMVA fixed-point code of both parity tiers.
+"""The compiled AMVA fixed-point code of both parity tiers, and the decide.
 
 :mod:`repro.queueing.kernels.cext` is one C library, built with the
-host's C compiler at first use, that serves both tiers:
+host's C compiler at first use, that serves both tiers and FastCap's
+Theorem-1 solve:
 
 * the **exact** tier (the default) keeps numpy's gemv ``x @ routing``
   and runs the rest of each fixed-point iteration as one call of the
@@ -9,11 +10,15 @@ host's C compiler at first use, that serves both tiers:
   bit for bit (the golden fixture is unchanged);
 * the **relaxed** tier (``parity="relaxed"``, run-level ≤1e-8
   relative agreement) runs the whole fixed point as one C loop-nest,
-  single-lane and batched ``(R, n, B)``, with its own reduction order.
+  single-lane and batched ``(R, n, B)``, with its own reduction order;
+* every **FastCap decide** keeps numpy's ``power`` and runs the rest of
+  each Theorem-1 bisection step as one call of the decide step, bit for
+  bit (:mod:`repro.core.optimizer`).
 
 When the library cannot be built or loaded, exact solves run the numpy
-loop and relaxed solves run the exact tier instead — both bit-identical
-to the exact tier — and the process logs one warning naming the reason.
+loop, relaxed solves run the exact tier instead and decides run the
+numpy row kernel — all bit-identical to the compiled paths of the
+exact tier — and the process logs one warning naming the reason.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from repro.queueing.kernels import cext
 
 
 class Backend(NamedTuple):
-    """Which engine serves this process's AMVA solves, both tiers."""
+    """Which engine serves this process's AMVA solves and decides."""
 
     name: str
     compiled: bool
@@ -37,9 +42,10 @@ _NUMPY = Backend("numpy", False)
 def warmup() -> Backend:
     """Build or load the C library now and report which backend runs.
 
-    ``("cc", True)``: exact solves run the compiled step and relaxed
-    solves the C loop-nest.  ``("numpy", False)``: both tiers run the
-    numpy loop.  The build is memoised per process; every
+    ``("cc", True)``: exact solves run the compiled step, relaxed
+    solves the C loop-nest and decides the compiled decide step.
+    ``("numpy", False)``: both tiers run the numpy loop and decides the
+    numpy row kernel.  The build is memoised per process; every
     :class:`~repro.queueing.mva.MVASolver` loads the library when it
     is built, and campaign runners call this up front, so no compile
     lands inside a measured epoch.

@@ -1,6 +1,6 @@
-"""One C library for both parity tiers' AMVA fixed point.
+"""One C library for both parity tiers' AMVA fixed point and the decide.
 
-The embedded C source below holds two things.
+The embedded C source below holds three things.
 
 **The relaxed tier's loop-nest** (``fastcap_mva_solve_lane`` and its
 batched twin ``fastcap_mva_solve_lanes``): one damped fixed-point step
@@ -52,9 +52,42 @@ numpy 2.4:
   above that, split at n/2 rounded down to a multiple of 8);
 * ``np.maximum.reduce(dx)``: any order (max is exact), NaN-propagating.
 
-Both are built strict IEEE: ``-ffp-contract=off`` keeps multiply-adds
-from fusing into FMAs, and no ``-ffast-math``/``-Ofast`` (see
-``_FLAGS``).
+**The Theorem-1 decide step** (``fastcap_decide_step``): everything
+:func:`repro.core.optimizer._solve_degradation_rows` does except
+``ratios**alpha``, for K rows of N cores at once — the degradation
+floor and its clamps, the clipped think times and their power ratios,
+each row's power sum, the infeasible and slack tests, the ``lo``/``hi``
+updates with the per-row freeze, and the final think times, achieved
+D and power.  It is a phase machine over one workspace that
+:func:`bind_decide_step` allocates and fills per solve; the caller
+runs ``np.power(ratios, alpha, powed)`` between calls, 36 of them for
+an interior solve (the floor, full speed, 33 bisection steps and the
+final point).  ``power`` stays in numpy because numpy's float64
+``power`` runs its own SIMD path (AVX-512 on x86-64 hosts that have
+it), which differs from libm ``pow`` in the last bit on ~5% of draws;
+its result does not depend on an element's position, so one call over
+all K rows is safe.  The rules the rest follows, each checked against
+numpy 2.4 by ``tests/core/test_decide_kernel.py``:
+
+* ``np.clip(x, lo, hi)``: ``maximum`` then ``minimum``, each keeping a
+  NaN ``x`` first, i.e. ``x != x ? x : (x > lo ? x : lo)`` and then
+  the same against ``hi`` with ``<``, so a NaN in any operand
+  propagates and a tie between zeros keeps the bound;
+* elementwise ops as above, e.g. ``(t_bar/d - cache) - r`` and
+  ``(power + mem_power) + static_w``; ``np.maximum(z, 1e-300)`` and the
+  floor's clamps propagate NaN;
+* ``np.sum(p_max * powed, axis=1)``: per row ``0.0 + pairwise(row)``,
+  numpy's ``pairwise_sum`` as above;
+* ``np.min(..., axis=1)``: NaN-propagating; min is exact, so the order
+  only decides which zero a row mixing ``+0.0`` and ``-0.0`` returns
+  (the C loop keeps the later one, as numpy does on rows of up to 8
+  cores, where its SIMD lanes do not yet take part; the floor's clamp
+  erases the sign, and positive turnarounds never give a zero
+  achieved D).
+
+All three are built strict IEEE: ``-ffp-contract=off`` keeps
+multiply-adds from fusing into FMAs, and no ``-ffast-math``/``-Ofast``
+(see ``_FLAGS``).
 
 The library is built with the host's C compiler (``$CC``, else
 ``cc``/``gcc``/``clang``) and loaded through :mod:`ctypes`.  Build
@@ -64,8 +97,8 @@ so a process pays the compile once per source and flag version and
 later processes just ``dlopen``.  When the build or the load fails,
 :func:`load` returns None, :func:`build_error` says why, and one
 warning per process on logger ``repro.queueing.kernels`` names the
-reason: relaxed solves then run the exact tier and exact solves the
-numpy loop.
+reason: relaxed solves then run the exact tier, exact solves the
+numpy loop and decides the numpy row kernel.
 """
 
 from __future__ import annotations
@@ -404,6 +437,168 @@ double fastcap_mva_exact_step(
     }
     return last_rel;
 }
+
+/* ------------------------------------------------------------------
+ * The Theorem-1 decide step: everything in
+ * repro.core.optimizer._solve_degradation_rows except ratios**alpha,
+ * in numpy's op order (the module docstring lists the rules).  Each
+ * call consumes the powers numpy left in `powed` (the first call has
+ * none), advances every row and writes the next `ratios`.  It returns
+ * 1 while the caller must run np.power(ratios, alpha, out=powed) and
+ * call again, and 0 once the outputs are written.
+ * ------------------------------------------------------------------ */
+
+/* The workspace: a header, then K-long per-row sections, then K*N
+ * per-core sections, in these orders (_DECIDE_* in the Python module
+ * mirror them).  The caller fills the header and the inputs. */
+enum { DH_PHASE, DH_STEPS, DH_MAX_STEPS, DH_TOL, DH_K, DH_N, DH_COUNT };
+enum { DR_AVAILABLE, DR_MEM_POWER, DR_STATIC_W, DR_INFEASIBLE,
+       DR_ACHIEVED, DR_POWER, DR_D_FLOOR, DR_SLACK, DR_ACTIVE, DR_LO,
+       DR_HI, DR_MID, DR_COUNT };
+enum { DC_R, DC_T_BAR, DC_Z_MIN, DC_Z_MAX, DC_CACHE, DC_P_MAX,
+       DC_ALPHA, DC_RATIOS, DC_POWED, DC_Z, DC_COUNT };
+/* What the pending powers belong to. */
+enum { PH_START, PH_FLOOR, PH_FULL, PH_BISECT, PH_FINAL };
+
+typedef struct {
+    int64_t n;
+    double *row[DR_COUNT];
+    double *core[DC_COUNT];
+} decide_ws;
+
+/* np.clip(x, lo, hi): max then min, each keeping a NaN first operand. */
+static inline double np_clip(double x, double lo, double hi)
+{
+    x = (x != x) ? x : (x > lo ? x : lo);
+    return (x != x) ? x : (x < hi ? x : hi);
+}
+
+/* Row i's think times and power ratios at D = d:
+ * z = clip((t_bar / d - cache) - r, z_min, z_max), stored when
+ * z_out is set, and ratios = z_min / maximum(z, 1e-300). */
+static void decide_point(const decide_ws *w, int64_t i, double d,
+                         double *z_out)
+{
+    const int64_t o = i * w->n;
+    const double *t_bar = w->core[DC_T_BAR] + o, *cache = w->core[DC_CACHE] + o;
+    const double *r = w->core[DC_R] + o, *z_min = w->core[DC_Z_MIN] + o;
+    const double *z_max = w->core[DC_Z_MAX] + o;
+    double *ratios = w->core[DC_RATIOS] + o;
+    for (int64_t j = 0; j < w->n; j++) {
+        const double z = np_clip((t_bar[j] / d - cache[j]) - r[j],
+                                 z_min[j], z_max[j]);
+        if (z_out) z_out[o + j] = z;
+        ratios[j] = z_min[j] / np_max(z, 1e-300);
+    }
+}
+
+/* np.sum(p_max * powed, axis=1) for row i: 0.0 + pairwise(row). */
+static double decide_row_power(const decide_ws *w, int64_t i)
+{
+    const int64_t o = i * w->n;
+    const double *p_max = w->core[DC_P_MAX] + o;
+    double *powed = w->core[DC_POWED] + o;
+    for (int64_t j = 0; j < w->n; j++) powed[j] = p_max[j] * powed[j];
+    return 0.0 + pairwise_sum(powed, w->n);
+}
+
+/* np.min(t_bar / ((x + cache) + r), axis=1) for row i (n >= 1). */
+static double decide_min_quotient(const decide_ws *w, int64_t i,
+                                  const double *x)
+{
+    const int64_t o = i * w->n;
+    const double *t_bar = w->core[DC_T_BAR] + o, *cache = w->core[DC_CACHE] + o;
+    const double *r = w->core[DC_R] + o;
+    double m = 0.0;
+    for (int64_t j = 0; j < w->n; j++) {
+        const double q = t_bar[j] / ((x[o + j] + cache[j]) + r[j]);
+        m = j == 0 ? q : np_min(q, m);
+    }
+    return m;
+}
+
+int64_t fastcap_decide_step(double *ws)
+{
+    const int64_t k = (int64_t)ws[DH_K], n = (int64_t)ws[DH_N];
+    decide_ws w;
+    w.n = n;
+    for (int s = 0; s < DR_COUNT; s++) w.row[s] = ws + DH_COUNT + s * k;
+    for (int s = 0; s < DC_COUNT; s++)
+        w.core[s] = ws + DH_COUNT + DR_COUNT * k + s * k * n;
+    double *available = w.row[DR_AVAILABLE], *infeasible = w.row[DR_INFEASIBLE];
+    double *d_floor = w.row[DR_D_FLOOR], *slack = w.row[DR_SLACK];
+    double *active = w.row[DR_ACTIVE], *mid = w.row[DR_MID];
+    double *lo = w.row[DR_LO], *hi = w.row[DR_HI];
+
+    switch ((int64_t)ws[DH_PHASE]) {
+    case PH_START:
+        /* The degradation floor: every core at its slowest. */
+        for (int64_t i = 0; i < k; i++) {
+            const double d = decide_min_quotient(&w, i, w.core[DC_Z_MAX]);
+            d_floor[i] = np_min(np_max(d, 1e-9), 1.0);
+            decide_point(&w, i, d_floor[i], 0);
+        }
+        ws[DH_PHASE] = PH_FLOOR;
+        return 1;
+    case PH_FLOOR:
+        for (int64_t i = 0; i < k; i++) {
+            infeasible[i] = decide_row_power(&w, i) > available[i];
+            decide_point(&w, i, 1.0, 0);
+        }
+        ws[DH_PHASE] = PH_FULL;
+        return 1;
+    case PH_FULL:
+        for (int64_t i = 0; i < k; i++) {
+            slack[i] = decide_row_power(&w, i) <= available[i];
+            active[i] = !(infeasible[i] != 0.0 || slack[i] != 0.0);
+            lo[i] = d_floor[i];
+            hi[i] = 1.0;
+        }
+        break;
+    case PH_BISECT:
+        /* Frozen rows keep lo and hi, as np.copyto(where=active) does. */
+        for (int64_t i = 0; i < k; i++) {
+            if (active[i] == 0.0) continue;
+            if (decide_row_power(&w, i) > available[i])
+                hi[i] = mid[i];
+            else
+                lo[i] = mid[i];
+            if (hi[i] - lo[i] <= ws[DH_TOL] * hi[i]) active[i] = 0.0;
+        }
+        ws[DH_STEPS] += 1.0;
+        break;
+    default: { /* PH_FINAL */
+        const double *mem_power = w.row[DR_MEM_POWER];
+        const double *static_w = w.row[DR_STATIC_W];
+        for (int64_t i = 0; i < k; i++) {
+            w.row[DR_POWER][i] =
+                (decide_row_power(&w, i) + mem_power[i]) + static_w[i];
+            w.row[DR_ACHIEVED][i] = decide_min_quotient(&w, i, w.core[DC_Z]);
+        }
+        return 0;
+    }
+    }
+
+    /* The next midpoint while a row is active, else the final point. */
+    int any_active = 0;
+    for (int64_t i = 0; i < k; i++) any_active |= active[i] != 0.0;
+    if (any_active && ws[DH_STEPS] < ws[DH_MAX_STEPS]) {
+        for (int64_t i = 0; i < k; i++) {
+            mid[i] = 0.5 * (lo[i] + hi[i]);
+            decide_point(&w, i, mid[i], 0);
+        }
+        ws[DH_PHASE] = PH_BISECT;
+        return 1;
+    }
+    for (int64_t i = 0; i < k; i++) {
+        const double d = infeasible[i] != 0.0 ? d_floor[i]
+                       : slack[i] != 0.0      ? 1.0
+                                              : lo[i];
+        decide_point(&w, i, d, w.core[DC_Z]);
+    }
+    ws[DH_PHASE] = PH_FINAL;
+    return 1;
+}
 """
 
 #: Strict IEEE: -ffp-contract=off keeps a*b + c from fusing into an FMA
@@ -486,8 +681,9 @@ def load() -> Optional[ctypes.CDLL]:
             _build_error = f"kernel build failed: {exc}"
     if lib is None:
         logger.warning(
-            "C kernel unavailable, relaxed solves run the exact numpy path "
-            "and exact solves run the numpy loop: %s",
+            "C kernel unavailable, relaxed solves run the exact numpy path, "
+            "exact solves run the numpy loop and FastCap decides run the "
+            "numpy row kernel: %s",
             _build_error,
         )
         return None
@@ -512,6 +708,8 @@ def load() -> Optional[ctypes.CDLL]:
     lib.fastcap_mva_exact_step.argtypes = [
         ctypes.POINTER(ExactStepArgs), i64, f64, f64
     ]
+    lib.fastcap_decide_step.restype = i64
+    lib.fastcap_decide_step.argtypes = [ctypes.c_void_p]
     _lib = lib
     return _lib
 
@@ -590,6 +788,76 @@ def bind_exact_step(arrays, **buffers: np.ndarray) -> Optional[ExactStep]:
     args.n_ctrl = a.n_controllers
     args.unit_pop = bool(np.all(a.population == 1.0))
     return ExactStep(lib.fastcap_mva_exact_step, args, ctypes.byref(args))
+
+
+#: ``fastcap_decide_step``'s workspace sections, in the C enums' order:
+#: the header, then K doubles per row section and K*N per core section.
+#: The caller fills the header and the sections up to the inputs; C
+#: writes the rest.
+_DECIDE_HEADER = ("phase", "steps", "max_steps", "tol", "k", "n")
+_DECIDE_ROWS = (
+    "available", "mem_power", "static_w", "infeasible", "achieved", "power",
+    "d_floor", "slack", "active", "lo", "hi", "mid",
+)
+_DECIDE_CORES = (
+    "r", "t_bar", "z_min", "z_max", "cache", "p_max", "alpha", "ratios",
+    "powed", "z",
+)
+_DECIDE_ROW_INPUTS = _DECIDE_ROWS[:3]
+_DECIDE_CORE_INPUTS = _DECIDE_CORES[:7]
+
+
+class DecideStep(NamedTuple):
+    """``fastcap_decide_step`` bound to one solve's fresh workspace.
+
+    The solve is ``while call(address): np.power(ratios, alpha,
+    powed)``, over flat views of the three ``(K, N)`` sections (C never
+    reads ``alpha``; it sits in the workspace, expanded to every row,
+    because same-shape contiguous operands make numpy's call cheapest).
+    The other fields view the outputs, valid once ``call`` returns 0.
+    """
+
+    call: Callable[[int], int]
+    address: int
+    alpha: np.ndarray
+    ratios: np.ndarray
+    powed: np.ndarray
+    infeasible: np.ndarray
+    achieved: np.ndarray
+    power: np.ndarray
+    z: np.ndarray
+
+
+def bind_decide_step(max_steps: int, tol: float, **inputs) -> Optional[DecideStep]:
+    """Bind ``fastcap_decide_step`` to a workspace filled with ``inputs``.
+
+    ``inputs`` names every input section: ``r`` is ``(K, N)``, the
+    other per-core inputs broadcast to it, and the per-row inputs
+    (``available``, ``mem_power``, ``static_w``) to ``(K,)``.  The
+    workspace is allocated here, C-contiguous float64, so C never sees
+    a caller's buffer, and the broadcast assignments reject a shape
+    that does not fit.  Returns None when the library is unavailable.
+    """
+    lib = load()
+    if lib is None:
+        return None
+    k, n = inputs["r"].shape
+    head = len(_DECIDE_HEADER)
+    per_row = len(_DECIDE_ROWS) * k
+    ws = np.empty(head + per_row + len(_DECIDE_CORES) * k * n)
+    ws[:head] = (0.0, 0.0, max_steps, tol, k, n)
+    rows = ws[head : head + per_row].reshape(len(_DECIDE_ROWS), k)
+    cores = ws[head + per_row :].reshape(len(_DECIDE_CORES), k, n)
+    for section, name in zip(rows, _DECIDE_ROW_INPUTS):
+        section[...] = inputs[name]
+    for section, name in zip(cores, _DECIDE_CORE_INPUTS):
+        section[...] = inputs[name]
+    alpha, ratios, powed = cores.reshape(len(_DECIDE_CORES), k * n)[6:9]
+    infeasible, achieved, power = rows[3:6]
+    return DecideStep(
+        lib.fastcap_decide_step, ws.ctypes.data,
+        alpha, ratios, powed, infeasible, achieved, power, z=cores[9],
+    )
 
 
 def _ptr_f64(a: np.ndarray):
