@@ -1,14 +1,19 @@
 """Verbatim seed (pre-PR2) implementations of the hot kernels.
 
-These are byte-for-byte copies of ``repro.queueing.mva.solve_mva`` and
-``repro.core.optimizer.solve_degradation`` as they stood before the
-array-native refactor.  They exist for two reasons:
+These are byte-for-byte copies of ``repro.queueing.mva.solve_mva``,
+``repro.core.optimizer.solve_degradation`` and
+``repro.sim.server.ServerSimulator.synthesize_counters`` (with its
+``_noisy`` helper) as they stood in the seed, before the array-native
+refactor and the one-draw counter synthesis.  The counter synthesis is
+a function of the simulator here (``seed_synthesize_counters(sim,
+...)``, ``self`` renamed ``sim``).  They exist for two reasons:
 
-* the golden-parity suite (:mod:`tests.test_golden_parity`) asserts the
-  refactored kernels reproduce these *exactly* (the refactor is an
-  implementation change, not a numerical one);
-* ``benchmarks/test_micro_solvers.py`` times them as the "before" side
-  of its solver micro-benchmarks.
+* the golden-parity suite (:mod:`tests.test_golden_parity`) and the
+  counter-synthesis gate (:mod:`tests.sim.test_counter_synthesis`)
+  assert the refactored code reproduces these *exactly* (the refactor
+  is an implementation change, not a numerical one);
+* ``benchmarks/test_micro_solvers.py`` times the solvers as the
+  "before" side of its solver micro-benchmarks.
 
 Do not "improve" this module — its value is that it does not change.
 """
@@ -22,6 +27,7 @@ from repro.core.optimizer import DegradationSolution
 from repro.errors import ConvergenceError
 from repro.queueing.mva import MVASolution
 from repro.queueing.network import QueueingNetwork
+from repro.sim.counters import ControllerCounters, CoreCounters, EpochCounters
 
 _RHO_CAP = 0.995
 _BG_RHO_CAP = 0.95
@@ -196,3 +202,104 @@ def seed_solve_degradation(inputs: FastCapInputs, s_b: float) -> DegradationSolu
         if hi - lo <= _D_TOL * hi:
             break
     return finish(lo, feasible=True)
+
+
+def _noisy(sim, value: float, sigma: float) -> float:
+    if sigma <= 0:
+        return value
+    return float(value * (1.0 + sim._rng.normal(0.0, sigma)))
+
+
+def seed_synthesize_counters(sim, epoch_index: int, op, settings) -> EpochCounters:
+    """Build the noisy profiling-window sample a real OS would read."""
+    cfg = sim.config
+    window = cfg.epoch.profiling_s
+    c_sig = cfg.noise.counter_rel_sigma
+    p_sig = cfg.noise.power_rel_sigma
+    sol = op.solution
+    s_b = cfg.bus_transfer_s(settings.bus_frequency_hz)
+    topo = cfg.memory
+    banks_per = topo.banks_per_controller
+
+    cores = []
+    for i in range(cfg.n_cores):
+        ips = float(op.per_core_ips[i])
+        miss_rate = float(sol.throughput_per_s[i])
+        think = float(
+            op.inst_per_blocking_miss[i]
+            * sim._apps[i].cpi_exe_at(0.0)  # busy time uses exec CPI
+        )
+        cores.append(
+            CoreCounters(
+                instructions=max(_noisy(sim, ips * window, c_sig), 1.0),
+                llc_misses=max(_noisy(sim, miss_rate * window, c_sig), 1e-6),
+                busy_time_s=max(
+                    _noisy(
+                        sim, float(op.per_core_activity[i]) * window, c_sig
+                    ),
+                    1e-12,
+                ),
+                window_s=window,
+                cache_time_s=max(
+                    _noisy(sim, cfg.cache.l2_hit_time_s, c_sig), 1e-12
+                ),
+                frequency_hz=float(settings.core_frequencies_hz[i]),
+                power_w=max(
+                    _noisy(sim, float(op.per_core_power_w[i]), p_sig), 1e-6
+                ),
+                memory_response_s=max(
+                    _noisy(sim, float(sol.memory_response_s[i]), c_sig),
+                    1e-12,
+                ),
+                controller_visits=tuple(sim._visit_probs[i]),
+            )
+        )
+
+    controllers = []
+    x = sol.throughput_per_s
+    for k in range(len(op.bank_service_s)):
+        bank_slice = slice(k * banks_per, (k + 1) * banks_per)
+        # Arrival-weighted mean response at this controller.
+        visit_weights = x * sim._visit_probs[:, k]
+        wsum = float(visit_weights.sum())
+        if wsum > 0:
+            r_mean = float(
+                (visit_weights * sol.controller_response_s[:, k]).sum() / wsum
+            )
+        else:
+            r_mean = float(op.bank_service_s[k] + s_b)
+        # Paper's Q: queue incl. the arriving request, averaged over
+        # banks (arrival-weighted, excluding the arrival's own mean
+        # contribution via the (N-1)/N factor).
+        n_eff = max(cfg.n_cores, 2)
+        queue_avg = float(np.mean(sol.bank_queue[bank_slice]))
+        q = 1.0 + queue_avg * (n_eff - 1) / n_eff
+        s_m = float(op.bank_service_s[k])
+        # Paper's U: bus backlog per departure, chosen so that
+        # R = Q (s_m + U s_b) is exact at the current operating
+        # point — this is what the MemScale counters measure.
+        u = (r_mean / q - s_m) / s_b
+        u = min(max(u, 1.0), float(cfg.n_cores))
+        controllers.append(
+            ControllerCounters(
+                q=max(_noisy(sim, q, c_sig), 1.0),
+                u=max(_noisy(sim, u, c_sig), 1.0),
+                bank_service_s=max(_noisy(sim, s_m, c_sig), 1e-12),
+                bus_utilization=float(
+                    min(max(_noisy(sim, sol.bus_utilization[k], c_sig), 0.0), 1.0)
+                ),
+                arrival_rate_per_s=max(
+                    _noisy(sim, float(sol.controller_arrival_per_s[k]), c_sig),
+                    0.0,
+                ),
+            )
+        )
+
+    return EpochCounters(
+        epoch_index=epoch_index,
+        cores=tuple(cores),
+        controllers=tuple(controllers),
+        memory_power_w=max(_noisy(sim, op.memory_power_w, p_sig), 0.0),
+        total_power_w=max(_noisy(sim, op.total_power_w, p_sig), 0.0),
+        bus_frequency_hz=settings.bus_frequency_hz,
+    )

@@ -1,6 +1,7 @@
 """Table I: decision-cost comparison across policies and core counts."""
 
-from repro.experiments import run_experiment
+from repro.campaign.runner import config_for_spec
+from repro.experiments import run_experiment, table1
 
 from benchmarks.conftest import run_once
 
@@ -25,3 +26,13 @@ def test_table1_decision_costs(benchmark, quick_runner):
     # All decision costs are a small fraction of a 5 ms epoch except
     # the exhaustive baseline.
     assert rows[("fastcap", 64)] < 5000.0  # µs
+    # The log M half of O(N log M), counted in work: inner degradation
+    # solves per decide stay within Algorithm 1's worst case at every
+    # core count.  6 is the most distinct candidates its three-probe
+    # search can visit over M = 10 (every comparison outcome
+    # enumerated); the exhaustive scan would read 10.  A ladder change
+    # must fail here, not silently loosen the bound.
+    for spec in table1.campaign().specs:
+        if spec.policy == "fastcap":
+            assert len(config_for_spec(spec).mem_dvfs.frequencies_hz) == 10
+            assert work[("fastcap", spec.n_cores)] <= 6

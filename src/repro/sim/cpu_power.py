@@ -14,6 +14,8 @@ runtime from observations.
 
 from __future__ import annotations
 
+from typing import Tuple
+
 import numpy as np
 
 from repro.errors import ModelError
@@ -113,6 +115,57 @@ def _voltages_at(ladder: DVFSLadder, frequencies_hz: np.ndarray) -> np.ndarray:
     )
 
 
+def core_frequency_terms(
+    ladder: DVFSLadder,
+    calibration: PowerCalibration,
+    frequencies_hz: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The frequency-only half of :func:`core_power_w_batch`.
+
+    Returns ``(v_ratio_sq, f_ratio, static)`` per core: the ladder
+    clamp, the voltage interpolation, the V² and f ratios and the
+    leakage.  None of it depends on activity, so a caller that charges
+    several operating points at one frequency vector computes it once
+    and hands it to :func:`core_power_from_terms` each time.
+    """
+    frequencies_hz = np.asarray(frequencies_hz, dtype=float)
+    clamped = np.minimum(
+        np.maximum(frequencies_hz, ladder.f_min_hz), ladder.f_max_hz
+    )
+    v_rel = _voltages_at(ladder, clamped) / ladder.v_max
+    static = calibration.core_static_w * v_rel ** calibration.leakage_voltage_exponent
+    return v_rel**2, clamped / ladder.f_max_hz, static
+
+
+def core_power_from_terms(
+    calibration: PowerCalibration,
+    terms: Tuple[np.ndarray, np.ndarray, np.ndarray],
+    activities: np.ndarray,
+    intensities: np.ndarray,
+) -> np.ndarray:
+    """The activity half of :func:`core_power_w_batch`.
+
+    ``terms`` is :func:`core_frequency_terms`' result; this applies the
+    activity and intensity factors in :func:`core_power_w`'s order.
+    """
+    activities = np.asarray(activities, dtype=float)
+    intensities = np.asarray(intensities, dtype=float)
+    if np.any(activities < 0.0) or np.any(activities > 1.0):
+        raise ModelError("activity must lie in [0, 1]")
+    if np.any(intensities <= 0):
+        raise ModelError("intensity must be positive")
+    v_ratio_sq, f_ratio, static = terms
+    effective_activity = 0.55 + 0.45 * activities
+    dynamic = (
+        calibration.core_max_dynamic_w
+        * intensities
+        * v_ratio_sq
+        * f_ratio
+        * effective_activity
+    )
+    return dynamic + static
+
+
 def core_power_w_batch(
     ladder: DVFSLadder,
     calibration: PowerCalibration,
@@ -123,35 +176,16 @@ def core_power_w_batch(
     """Per-core total power for every core at once.
 
     The vectorised equivalent of calling :func:`core_power_w` per core
-    (bit-identical results); replaces the per-core Python loop in the
-    server's epoch accounting.
+    (bit-identical results), composed of its frequency half
+    (:func:`core_frequency_terms`) and its activity half
+    (:func:`core_power_from_terms`).
     """
-    frequencies_hz = np.asarray(frequencies_hz, dtype=float)
-    activities = np.asarray(activities, dtype=float)
-    intensities = np.asarray(intensities, dtype=float)
-    if np.any(activities < 0.0) or np.any(activities > 1.0):
-        raise ModelError("activity must lie in [0, 1]")
-    if np.any(intensities <= 0):
-        raise ModelError("intensity must be positive")
-    clamped = np.minimum(
-        np.maximum(frequencies_hz, ladder.f_min_hz), ladder.f_max_hz
+    return core_power_from_terms(
+        calibration,
+        core_frequency_terms(ladder, calibration, frequencies_hz),
+        activities,
+        intensities,
     )
-    voltage = _voltages_at(ladder, clamped)
-    f_ratio = clamped / ladder.f_max_hz
-    v_ratio_sq = (voltage / ladder.v_max) ** 2
-    effective_activity = 0.55 + 0.45 * activities
-    dynamic = (
-        calibration.core_max_dynamic_w
-        * intensities
-        * v_ratio_sq
-        * f_ratio
-        * effective_activity
-    )
-    static = (
-        calibration.core_static_w
-        * (voltage / ladder.v_max) ** calibration.leakage_voltage_exponent
-    )
-    return dynamic + static
 
 
 def fitted_alpha(ladder: DVFSLadder) -> float:

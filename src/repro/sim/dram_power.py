@@ -22,8 +22,6 @@ as the real system would.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.errors import ModelError
 from repro.sim.config import (
     DDR3Currents,
@@ -159,20 +157,14 @@ def dram_power_w(
     bus_utilization: float,
     bus_frequency_hz: float,
 ) -> float:
-    """Total DRAM-side power for one controller (no MC).
-
-    Composes background + refresh + activate/burst + bus IO.
-    """
-    mem_ladder_ratio_guard = bus_frequency_hz
-    if mem_ladder_ratio_guard <= 0:
+    """DRAM-side power for one controller: background + refresh +
+    activate/burst.  Bus IO and the MC need the memory ladder, so
+    :func:`memory_subsystem_power_w` adds them."""
+    if bus_frequency_hz <= 0:
         raise ModelError("bus frequency must be positive")
     bg = background_power_w(topology, currents, bank_utilization)
     refr = refresh_power_w(topology, currents, timing)
     acc = access_power_w(calibration, access_rate_per_s, row_hit_rate)
-    # IO power needs the ladder's max; derive the ratio from calibration
-    # call sites passing the ladder is cleaner, so this helper exposes
-    # only the frequency-independent parts plus access power and leaves
-    # bus IO to `memory_subsystem_power_w`.
     return bg + refr + acc
 
 
@@ -213,78 +205,3 @@ def memory_subsystem_power_w(
     )
     return dram + io + mc
 
-
-def memory_subsystem_power_per_controller_w(
-    topology: MemoryTopology,
-    currents: DDR3Currents,
-    timing: DDR3Timing,
-    calibration: PowerCalibration,
-    mem_ladder: DVFSLadder,
-    bus_frequency_hz: float,
-    access_rate_per_s: np.ndarray,
-    row_hit_rate: float,
-    bank_utilization: np.ndarray,
-    bus_utilization: np.ndarray,
-    powerdown_fraction: float = 0.5,
-) -> np.ndarray:
-    """Complete memory power for *every* controller at once.
-
-    Vectorised over the per-controller measurement arrays
-    (``access_rate_per_s``, ``bank_utilization``, ``bus_utilization``);
-    topology, timing and the bus frequency are shared, as all
-    controllers run the same DVFS setting.  Element-for-element the
-    same arithmetic as :func:`memory_subsystem_power_w`, so summing
-    this vector reproduces the per-controller loop bit for bit.
-    """
-    access_rate_per_s = np.asarray(access_rate_per_s, dtype=float)
-    bank_utilization = np.asarray(bank_utilization, dtype=float)
-    bus_utilization = np.asarray(bus_utilization, dtype=float)
-    if bus_frequency_hz <= 0:
-        raise ModelError("bus frequency must be positive")
-    if np.any(access_rate_per_s < 0):
-        raise ModelError("access rate must be non-negative")
-    _check_unit_interval(row_hit_rate, "row_hit_rate")
-    _check_unit_interval(powerdown_fraction, "powerdown_fraction")
-    for name, arr in (
-        ("bank_utilization", bank_utilization),
-        ("bus_utilization", bus_utilization),
-    ):
-        if np.any(arr < 0.0) or np.any(arr > 1.0):
-            raise ModelError(f"{name} must lie in [0, 1]")
-
-    ranks = topology.channels_per_controller * topology.ranks_per_channel
-    devices = ranks * topology.chips_per_rank
-    idle = 1.0 - bank_utilization
-    per_device_a = (
-        bank_utilization * currents.active_standby_a
-        + idle * powerdown_fraction * currents.precharge_powerdown_a
-        + idle * (1.0 - powerdown_fraction) * currents.precharge_standby_a
-    )
-    bg = currents.vdd * per_device_a * devices
-
-    refresh = currents.vdd * currents.refresh_a * timing.refresh_duty * devices
-
-    activate = (
-        (1.0 - row_hit_rate) * access_rate_per_s * calibration.activate_energy_j
-    )
-    burst = access_rate_per_s * calibration.burst_energy_j
-    access = activate + burst
-
-    dram = bg + refresh + access
-
-    channels = topology.channels_per_controller
-    width = channels / _REFERENCE_CHANNELS
-    ratio = bus_frequency_hz / mem_ladder.f_max_hz
-    io_scale = 0.2 + 0.8 * bus_utilization
-    io = calibration.bus_io_max_w * width * ratio * io_scale
-
-    v_min, v_max = 0.65, 1.2
-    voltage = v_min + (v_max - v_min) * ratio
-    v_ratio_sq = (voltage / v_max) ** 2
-    mc_activity = 0.6 + 0.4 * bus_utilization
-    mc = (
-        calibration.mc_max_dynamic_w * width * v_ratio_sq * ratio * mc_activity
-        + calibration.mc_static_w * width
-    )
-
-    return dram + io + mc

@@ -377,6 +377,12 @@ def _memo_put(cache: Dict, key: Tuple, value: Tuple) -> None:
     cache[key] = value
 
 
+#: Floors of the per-core noisy counters, in synthesize_counters'
+#: column order: instructions, LLC misses, busy time, cache time,
+#: power, memory response.
+_CORE_COUNTER_FLOORS = np.array([1.0, 1e-6, 1e-12, 1e-12, 1e-6, 1e-12])
+
+
 #: Operating points solved before a memoized simulator may *serve* a
 #: cached result (it stores from the first solve).  Two purposes: the
 #: early transient — max-freq warm-up, the policy's first reactions —
@@ -519,6 +525,26 @@ class ServerSimulator:
         )
         self._routing = self._build_routing()
         self._visit_probs = self._controller_visits()
+        self._visit_tuples = tuple(tuple(row) for row in self._visit_probs)
+        # Counter noise, one slot per noisy value in synthesize_counters'
+        # draw order: per core (instructions, misses, busy, cache,
+        # power, response), per controller (q, u, s_m, bus, arrivals),
+        # then memory and total power.  A slot whose sigma is <= 0
+        # draws nothing.
+        c_sig = config.noise.counter_rel_sigma
+        p_sig = config.noise.power_rel_sigma
+        sigmas = np.concatenate(
+            (
+                np.tile((c_sig,) * 4 + (p_sig, c_sig), config.n_cores),
+                np.full(5 * config.memory.n_controllers, c_sig),
+                (p_sig, p_sig),
+            )
+        )
+        self._noise_drawn = ~(sigmas <= 0)
+        self._noise_sigmas = sigmas[self._noise_drawn]
+        # Frequency half of core power for the last core-frequency
+        # tuple charged: (tuple, frequencies, cpu_power terms).
+        self._core_terms: Tuple = ((), None, None)
         # Feedback state for the background-traffic fixed point.
         self._ips_estimate = np.array(
             [config.core_dvfs.f_max_hz / a.cpi_exe for a in self._apps]
@@ -918,9 +944,16 @@ class ServerSimulator:
             memo_ips = self._ips_estimate.copy()
 
         base_blocking = cfg.ooo.blocking_fraction if cfg.ooo.enabled else 1.0
-        blocking_fraction = base_blocking
+        blocking_fraction: Optional[float] = None
 
-        core_freqs = np.asarray(settings.core_frequencies_hz, dtype=float)
+        if self._core_terms[0] != settings.core_frequencies_hz:
+            core_freqs = np.asarray(settings.core_frequencies_hz, dtype=float)
+            self._core_terms = (
+                settings.core_frequencies_hz,
+                core_freqs,
+                cpu_power.core_frequency_terms(cfg.core_dvfs, cfg.power, core_freqs),
+            )
+        _, core_freqs, core_terms = self._core_terms
         bus_freq = settings.bus_frequency_hz
         s_b = cfg.bus_transfer_s(bus_freq)
         cache_time = cfg.cache.l2_hit_time_s
@@ -933,14 +966,6 @@ class ServerSimulator:
         solution: Optional[MVASolution] = None
         row_hit_avg = float(np.mean(row_hit))
         s_m = self._bank_model.effective_service_s(row_hit_avg)
-        blocking_mpki = mpki * blocking_fraction
-        inst_per_miss = 1000.0 / np.maximum(blocking_mpki, 1e-9)
-        think = inst_per_miss * cpi_exe / core_freqs
-        if self._think_scale is not None:
-            think = think * self._think_scale
-        warm_start = np.minimum(
-            ips * blocking_mpki / 1000.0, 1.0 / (think + cache_time + s_m)
-        )
 
         # OoO needs an extra pass or two for the window-backpressure
         # feedback below to settle.
@@ -957,17 +982,26 @@ class ServerSimulator:
             # fraction rises toward 1.  Without this, "non-blocking"
             # traffic would be an open flow that can saturate the bus
             # with no flow control, which no real core does.
+            fraction = base_blocking
             if cfg.ooo.enabled and solution is not None:
                 rho = float(np.max(solution.bus_utilization))
                 pressure = max(0.0, (rho - 0.6) / 0.4) ** 2
-                blocking_fraction = min(
+                fraction = min(
                     base_blocking + (1.0 - base_blocking) * pressure, 1.0
                 )
-            blocking_mpki = mpki * blocking_fraction
-            inst_per_miss = 1000.0 / np.maximum(blocking_mpki, 1e-9)
-            think = inst_per_miss * cpi_exe / core_freqs
-            if self._think_scale is not None:
-                think = think * self._think_scale
+            if fraction != blocking_fraction:
+                # These move only with the blocking fraction.
+                blocking_fraction = fraction
+                blocking_mpki = mpki * blocking_fraction
+                inst_per_miss = 1000.0 / np.maximum(blocking_mpki, 1e-9)
+                think = inst_per_miss * cpi_exe / core_freqs
+                if self._think_scale is not None:
+                    think = think * self._think_scale
+                think_total = think + cache_time
+            if solution is None:
+                warm_start = np.minimum(
+                    ips * blocking_mpki / 1000.0, 1.0 / (think_total + s_m)
+                )
 
             # Arrival-weighted row-buffer hit rate and bank service.
             miss_rates = ips * mpki / 1000.0
@@ -988,7 +1022,7 @@ class ServerSimulator:
             bg_per_bank = bg_per_core @ self._routing
 
             arrays.update(
-                think=think + cache_time,
+                think=think_total,
                 s_m=s_m,
                 s_b=s_b,
                 bg_rates=bg_per_bank,
@@ -1006,9 +1040,7 @@ class ServerSimulator:
         self._op_index += 1
 
         if self.engine == "eventsim":
-            solution = self._measure_with_eventsim(
-                arrays, solution, think + cache_time
-            )
+            solution = self._measure_with_eventsim(arrays, solution, think_total)
 
         # Accounting uses the final converged solution, not the damped
         # feedback value.
@@ -1016,44 +1048,43 @@ class ServerSimulator:
         self._ips_estimate = ips
 
         # --- Ground-truth power ---------------------------------------
-        activity = think / solution.turnaround_s
-        core_powers = cpu_power.core_power_w_batch(
-            cfg.core_dvfs,
-            cfg.power,
-            core_freqs,
-            np.minimum(activity, 1.0),
-            self._intensity,
+        activity = np.minimum(think / solution.turnaround_s, 1.0)
+        core_powers = cpu_power.core_power_from_terms(
+            cfg.power, core_terms, activity, self._intensity
         )
         bank_service_per_ctrl = np.full(n_ctrl, s_m)
-        mem_powers = dram_power.memory_subsystem_power_per_controller_w(
-            topology=topo,
-            currents=cfg.dram_currents,
-            timing=cfg.dram_timing,
-            calibration=cfg.power,
-            mem_ladder=cfg.mem_dvfs,
-            bus_frequency_hz=bus_freq,
-            access_rate_per_s=solution.controller_arrival_per_s,
-            row_hit_rate=row_hit_avg,
-            bank_utilization=solution.bank_utilization.reshape(
-                n_ctrl, banks_per
-            ).mean(axis=1),
-            bus_utilization=solution.bus_utilization,
+        arrivals = solution.controller_arrival_per_s.tolist()
+        bank_util = (
+            solution.bank_utilization.reshape(n_ctrl, banks_per).mean(axis=1).tolist()
         )
-        if self._mem_power_scale is not None:
-            # Fault injection: a degraded controller draws excess power
-            # in ground truth (the policy only ever sees counters).
-            mem_powers = mem_powers * self._mem_power_scale
-        # Sequential accumulation over controllers (matches the seed
-        # summation order bit for bit).
+        bus_util = solution.bus_utilization.tolist()
+        # One controller at a time, summed in order from 0.0 (the seed's
+        # loop, bit for bit).
         mem_power = 0.0
         for k in range(n_ctrl):
-            mem_power += float(mem_powers[k])
+            power_k = dram_power.memory_subsystem_power_w(
+                topology=topo,
+                currents=cfg.dram_currents,
+                timing=cfg.dram_timing,
+                calibration=cfg.power,
+                mem_ladder=cfg.mem_dvfs,
+                bus_frequency_hz=bus_freq,
+                access_rate_per_s=arrivals[k],
+                row_hit_rate=row_hit_avg,
+                bank_utilization=bank_util[k],
+                bus_utilization=bus_util[k],
+            )
+            if self._mem_power_scale is not None:
+                # Fault injection: a degraded controller draws excess
+                # power in ground truth (the policy only sees counters).
+                power_k *= float(self._mem_power_scale[k])
+            mem_power += power_k
         total = float(core_powers.sum() + mem_power + cfg.power.other_static_w)
 
         op = _OperatingPoint(
             solution=solution,
             per_core_ips=ips,
-            per_core_activity=np.minimum(activity, 1.0),
+            per_core_activity=activity,
             per_core_power_w=core_powers,
             memory_power_w=mem_power,
             total_power_w=total,
@@ -1134,64 +1165,76 @@ class ServerSimulator:
     # ------------------------------------------------------------------
     # Counter synthesis
     # ------------------------------------------------------------------
-    def _noisy(self, value: float, sigma: float) -> float:
-        if sigma <= 0:
-            return value
-        return float(value * (1.0 + self._rng.normal(0.0, sigma)))
-
     def synthesize_counters(
         self,
         epoch_index: int,
         op: _OperatingPoint,
         settings: FrequencySettings,
     ) -> EpochCounters:
-        """Build the noisy profiling-window sample a real OS would read."""
+        """Build the noisy profiling-window sample a real OS would read.
+
+        Each noisy value is ``value * (1.0 + sigma * z)``, then floored;
+        power readings use ``power_rel_sigma``, everything else
+        ``counter_rel_sigma``.  One ``standard_normal`` draw per epoch
+        supplies every ``z``, in this order: per core, instructions,
+        LLC misses, busy time, cache time, power and memory response;
+        per controller, Q, U, s_m, bus utilisation and arrival rate;
+        then memory power and total power.  A value whose sigma is
+        <= 0 draws nothing and keeps its value.
+
+        This is, bit for bit, the stream of one scalar
+        ``rng.normal(0.0, sigma)`` per value in the same order: numpy
+        computes ``normal(0, s)`` as ``0.0 + s * standard_normal()`` on
+        the same stream, and ``1.0 + (0.0 + s*z) == 1.0 + s*z`` for
+        every ``z``.
+        """
         cfg = self.config
         window = cfg.epoch.profiling_s
-        c_sig = cfg.noise.counter_rel_sigma
-        p_sig = cfg.noise.power_rel_sigma
         sol = op.solution
         s_b = cfg.bus_transfer_s(settings.bus_frequency_hz)
-        topo = cfg.memory
-        banks_per = topo.banks_per_controller
+        n = cfg.n_cores
+        banks_per = cfg.memory.banks_per_controller
 
-        cores = []
-        for i in range(cfg.n_cores):
-            ips = float(op.per_core_ips[i])
-            miss_rate = float(sol.throughput_per_s[i])
-            think = float(
-                op.inst_per_blocking_miss[i]
-                * self._apps[i].cpi_exe_at(0.0)  # busy time uses exec CPI
-            )
-            cores.append(
-                CoreCounters(
-                    instructions=max(self._noisy(ips * window, c_sig), 1.0),
-                    llc_misses=max(self._noisy(miss_rate * window, c_sig), 1e-6),
-                    busy_time_s=max(
-                        self._noisy(
-                            float(op.per_core_activity[i]) * window, c_sig
-                        ),
-                        1e-12,
-                    ),
-                    window_s=window,
-                    cache_time_s=max(
-                        self._noisy(cfg.cache.l2_hit_time_s, c_sig), 1e-12
-                    ),
-                    frequency_hz=float(settings.core_frequencies_hz[i]),
-                    power_w=max(
-                        self._noisy(float(op.per_core_power_w[i]), p_sig), 1e-6
-                    ),
-                    memory_response_s=max(
-                        self._noisy(float(sol.memory_response_s[i]), c_sig),
-                        1e-12,
-                    ),
-                    controller_visits=tuple(self._visit_probs[i]),
-                )
-            )
+        # A quiet value's factor stays exactly 1.0, and x * 1.0 == x.
+        drawn = self._noise_drawn
+        factors = np.ones(drawn.size)
+        factors[drawn] = 1.0 + self._noise_sigmas * self._rng.standard_normal(
+            self._noise_sigmas.size
+        )
 
+        values = np.empty((n, 6))
+        values[:, 0] = op.per_core_ips
+        values[:, 1] = sol.throughput_per_s
+        values[:, 2] = op.per_core_activity
+        values[:, :3] *= window
+        values[:, 3] = cfg.cache.l2_hit_time_s
+        values[:, 4] = op.per_core_power_w
+        values[:, 5] = sol.memory_response_s
+        noisy = np.maximum(
+            values * factors[: 6 * n].reshape(n, 6), _CORE_COUNTER_FLOORS
+        ).tolist()
+        cores = tuple(
+            CoreCounters(
+                instructions=row[0],
+                llc_misses=row[1],
+                busy_time_s=row[2],
+                window_s=window,
+                cache_time_s=row[3],
+                frequency_hz=float(freq),
+                power_w=row[4],
+                memory_response_s=row[5],
+                controller_visits=visits,
+            )
+            for row, freq, visits in zip(
+                noisy, settings.core_frequencies_hz, self._visit_tuples
+            )
+        )
+
+        rest = factors[6 * n :].tolist()
         controllers = []
         x = sol.throughput_per_s
         for k in range(len(op.bank_service_s)):
+            f_q, f_u, f_s, f_bus, f_rate = rest[5 * k : 5 * k + 5]
             bank_slice = slice(k * banks_per, (k + 1) * banks_per)
             # Arrival-weighted mean response at this controller.
             visit_weights = x * self._visit_probs[:, k]
@@ -1216,25 +1259,24 @@ class ServerSimulator:
             u = min(max(u, 1.0), float(cfg.n_cores))
             controllers.append(
                 ControllerCounters(
-                    q=max(self._noisy(q, c_sig), 1.0),
-                    u=max(self._noisy(u, c_sig), 1.0),
-                    bank_service_s=max(self._noisy(s_m, c_sig), 1e-12),
+                    q=max(q * f_q, 1.0),
+                    u=max(u * f_u, 1.0),
+                    bank_service_s=max(s_m * f_s, 1e-12),
                     bus_utilization=float(
-                        min(max(self._noisy(sol.bus_utilization[k], c_sig), 0.0), 1.0)
+                        min(max(sol.bus_utilization[k] * f_bus, 0.0), 1.0)
                     ),
                     arrival_rate_per_s=max(
-                        self._noisy(float(sol.controller_arrival_per_s[k]), c_sig),
-                        0.0,
+                        float(sol.controller_arrival_per_s[k]) * f_rate, 0.0
                     ),
                 )
             )
 
         return EpochCounters(
             epoch_index=epoch_index,
-            cores=tuple(cores),
+            cores=cores,
             controllers=tuple(controllers),
-            memory_power_w=max(self._noisy(op.memory_power_w, p_sig), 0.0),
-            total_power_w=max(self._noisy(op.total_power_w, p_sig), 0.0),
+            memory_power_w=max(op.memory_power_w * rest[-2], 0.0),
+            total_power_w=max(op.total_power_w * rest[-1], 0.0),
             bus_frequency_hz=settings.bus_frequency_hz,
         )
 

@@ -288,45 +288,6 @@ class TestVectorisedAccountingParity:
         )
         np.testing.assert_array_equal(batch, scalar)
 
-    def test_memory_power_batch_matches_scalar_loop(self, config16):
-        from repro.sim import dram_power
-
-        rng = np.random.default_rng(6)
-        k = 4
-        rates = rng.uniform(0.0, 5e8, k)
-        bank_util = rng.uniform(0.0, 1.0, k)
-        bus_util = rng.uniform(0.0, 1.0, k)
-        batch = dram_power.memory_subsystem_power_per_controller_w(
-            topology=config16.memory,
-            currents=config16.dram_currents,
-            timing=config16.dram_timing,
-            calibration=config16.power,
-            mem_ladder=config16.mem_dvfs,
-            bus_frequency_hz=500e6,
-            access_rate_per_s=rates,
-            row_hit_rate=0.6,
-            bank_utilization=bank_util,
-            bus_utilization=bus_util,
-        )
-        scalar = np.array(
-            [
-                dram_power.memory_subsystem_power_w(
-                    topology=config16.memory,
-                    currents=config16.dram_currents,
-                    timing=config16.dram_timing,
-                    calibration=config16.power,
-                    mem_ladder=config16.mem_dvfs,
-                    bus_frequency_hz=500e6,
-                    access_rate_per_s=float(rates[i]),
-                    row_hit_rate=0.6,
-                    bank_utilization=float(bank_util[i]),
-                    bus_utilization=float(bus_util[i]),
-                )
-                for i in range(k)
-            ]
-        )
-        np.testing.assert_array_equal(batch, scalar)
-
     def test_phase_table_matches_workload_helpers(self, config16):
         """The precompiled per-phase table must agree with evaluating
         the cache-sharing helpers at runtime positions."""
